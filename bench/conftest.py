@@ -1,0 +1,9 @@
+"""Make the benchmark modules and the checkout's package importable."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent
+for path in (BENCH.parent / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
