@@ -282,6 +282,11 @@ def main(argv=None) -> int:
     except (TorikaError, ValueError) as exc:
         print(f"torika: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug, still reported without a traceback
+        detail = " ".join(str(exc).split())
+        print(f"torika: internal error: {type(exc).__name__}: {detail}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -104,24 +104,27 @@ def trivial_lattice(group: FiniteGroup, rank: int) -> GLattice:
     return GLattice(group, rank, tuple(eye for _ in group.elements()))
 
 
+def permutation_lattice(group: FiniteGroup, perms) -> GLattice:
+    """Z^k on which element g sends basis vector i to basis vector perms[g][i]."""
+    k = len(perms[0])
+    mats = []
+    for perm in perms:
+        m = [[0] * k for _ in range(k)]
+        for i, j in enumerate(perm):
+            m[j][i] = 1
+        mats.append(IntMatrix(m, cols=k))
+    return GLattice(group, k, tuple(mats))
+
+
 def permutation_module(group: FiniteGroup, subgroup: Subgroup) -> GLattice:
     """Z[G/H]: the free module on the left cosets of H, permuted by G."""
     if subgroup.parent != group:
         raise IncompatibleModulesError("subgroup belongs to a different group")
     cosets = subgroup.left_cosets()
-    where = {}
-    for idx, coset in enumerate(cosets):
-        for x in coset:
-            where[x] = idx
-    k = len(cosets)
-    mats = []
-    for g in group.elements():
-        m = [[0] * k for _ in range(k)]
-        for c, coset in enumerate(cosets):
-            image = where[group.mul(g, coset[0])]
-            m[image][c] = 1
-        mats.append(IntMatrix(m, cols=k))
-    return GLattice(group, k, tuple(mats))
+    where = {x: idx for idx, coset in enumerate(cosets) for x in coset}
+    return permutation_lattice(group, [
+        tuple(where[group.mul(g, coset[0])] for coset in cosets)
+        for g in group.elements()])
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations, product
 
 from .cohomology import GLattice, trivial_lattice
@@ -76,6 +77,18 @@ def _as_ray(r):
     return r if isinstance(r, Ray) else Ray(tuple(r))
 
 
+def _cached(method):
+    """Compute a fan accessor once and keep the result in the fan's _cache."""
+    name = method.__name__
+
+    @wraps(method)
+    def accessor(self):
+        if name not in self._cache:
+            self._cache[name] = method(self)
+        return self._cache[name]
+    return accessor
+
+
 @dataclass(frozen=True)
 class GFan:
     """A fan together with a group acting on the ambient lattice.
@@ -117,18 +130,63 @@ class GFan:
     def ray_vectors(self):
         return [r.generator for r in self.rays]
 
+    @_cached
     def cone_set(self):
-        return {c.rays for c in self.cones}
+        return frozenset(c.rays for c in self.cones)
 
     def has_cone(self, cone) -> bool:
         return _as_cone(cone).rays in self.cone_set()
 
+    @_cached
     def maximal_cones(self):
-        sets = [set(c.rays) for c in self.cones]
+        """The cones inside no other cone, in listing order.
+
+        Cones are visited largest first, so a cone lies inside another
+        cone exactly when it lies inside a maximal cone already found.
+        """
+        sets = [frozenset(c.rays) for c in self.cones]
+        top = []
+        for i in sorted(range(len(sets)), key=lambda i: -len(sets[i])):
+            if not any(sets[i] < sets[j] for j in top):
+                top.append(i)
+        return tuple(self.cones[i] for i in sorted(top))
+
+    @_cached
+    def ray_permutations(self):
+        """For each group element, the image of every ray index under it.
+
+        An image is None where the element sends a ray outside the ray
+        set; validate_fan reports those, so on a valid fan every entry
+        is a permutation.
+        """
+        lookup = {r.generator: i for i, r in enumerate(self.rays)}
+        return tuple(
+            tuple(lookup.get(self.action.act(g).apply(r.generator)) for r in self.rays)
+            for g in self.group.elements())
+
+    @_cached
+    def ray_orbits(self):
+        """Orbits of the group on rays with the stabilizer of each least ray.
+
+        Valid fans only; see the module-level ray_orbits.
+        """
+        perms = self.ray_permutations()
+        unseen = set(range(len(self.rays)))
         out = []
-        for i, c in enumerate(self.cones):
-            if not any(i != j and set(c.rays) < s for j, s in enumerate(sets)):
-                out.append(c)
+        while unseen:
+            start = min(unseen)
+            orbit = {start}
+            frontier = [start]
+            while frontier:
+                i = frontier.pop()
+                for perm in perms:
+                    j = perm[i]
+                    if j not in orbit:
+                        orbit.add(j)
+                        frontier.append(j)
+            unseen -= orbit
+            stab = [g for g in self.group.elements() if perms[g][start] == start]
+            out.append((tuple(sorted(orbit)), Subgroup(self.group, tuple(stab))))
         return tuple(out)
 
     def max_ray_norm(self):
@@ -262,37 +320,30 @@ def _meet_in_common_face(fan: GFan, c1: Cone, c2: Cone) -> bool:
     return True
 
 
-def _ray_permutations(fan: GFan):
-    """For each group element, the permutation it induces on ray indices.
-
-    Returns (perms, problems); perms is None when some ray leaves the
-    ray set.
-    """
-    lookup = {r.generator: i for i, r in enumerate(fan.rays)}
-    perms = []
-    problems = []
-    for g in fan.group.elements():
-        mat = fan.action.act(g)
-        perm = []
-        for i, ray in enumerate(fan.rays):
-            image = mat.apply(ray.generator)
-            target = lookup.get(image)
-            if target is None:
-                problems.append(
-                    f"element {g} sends ray {i} to {image}, which is not a ray"
-                )
-            perm.append(target)
-        perms.append(tuple(perm))
-    if problems:
-        return None, problems
-    return perms, []
-
-
 def validate_fan(fan: GFan) -> ValidationReport:
     """Check every fan requirement and report all violations at once."""
-    cached = fan._cache.get("report")
-    if cached is not None:
-        return cached
+    if "report" not in fan._cache:
+        problems = _layout_problems(fan)
+        # geometry: only meaningful once the combinatorial layer is clean
+        if not problems:
+            dependent = [c.rays for c in fan.cones if not _independent(fan, c)]
+            problems = [f"cone {rays} has linearly dependent generators"
+                        for rays in dependent]
+            # Faces of simplicial cones meet along their shared generators,
+            # so when all maximal cones meet in common faces, so do all faces.
+            good = [c for c in fan.maximal_cones()
+                    if c.rays and c.rays not in dependent]
+            problems += [
+                f"cones {a.rays} and {b.rays} do not intersect in their common face"
+                for a, b in combinations(good, 2)
+                if not _meet_in_common_face(fan, a, b)]
+            problems += _action_problems(fan)
+        fan._cache["report"] = ValidationReport(tuple(problems))
+    return fan._cache["report"]
+
+
+def _layout_problems(fan: GFan):
+    """Problems with the ranks, the rays and the face structure of the cones."""
     problems = []
     if fan.rank < 0:
         problems.append("negative lattice rank")
@@ -333,43 +384,33 @@ def validate_fan(fan: GFan) -> ValidationReport:
     for i in range(len(fan.rays)):
         if (i,) not in cone_sets:
             problems.append(f"ray {i} does not appear in any cone")
+    return problems
+
+
+def _independent(fan: GFan, cone: Cone) -> bool:
+    if cone.is_zero:
+        return True
+    gens = np.array([fan.rays[i].generator for i in cone.rays], dtype=object)
+    return _rank(gens) == len(cone)
+
+
+def _action_problems(fan: GFan):
+    """Rays the group sends off the ray set, else cones sent off the fan."""
+    perms = fan.ray_permutations()
+    problems = [
+        f"element {g} sends ray {i} to "
+        f"{fan.action.act(g).apply(fan.rays[i].generator)}, which is not a ray"
+        for g, perm in enumerate(perms) for i, j in enumerate(perm) if j is None]
     if problems:
-        report = ValidationReport(tuple(problems))
-        fan._cache["report"] = report
-        return report
-    # geometry: only meaningful once the combinatorial layer is clean
-    independent = {}
-    for c in fan.cones:
-        if len(c) == 0:
-            independent[c.rays] = True
-            continue
-        gens = np.array([fan.rays[i].generator for i in c.rays], dtype=object)
-        independent[c.rays] = _rank(gens) == len(c)
-        if not independent[c.rays]:
-            problems.append(f"cone {c.rays} has linearly dependent generators")
-    good = [c for c in fan.cones if independent[c.rays] and len(c) >= 1]
-    for a in range(len(good)):
-        for b in range(a + 1, len(good)):
-            if not _meet_in_common_face(fan, good[a], good[b]):
+        return problems
+    for g, perm in enumerate(perms):
+        for c in fan.cones:
+            image = tuple(sorted(perm[i] for i in c.rays))
+            if image not in fan.cone_set():
                 problems.append(
-                    f"cones {good[a].rays} and {good[b].rays} do not intersect "
-                    f"in their common face"
+                    f"element {g} sends cone {c.rays} to {image}, which is not a cone"
                 )
-    perms, perm_problems = _ray_permutations(fan)
-    problems.extend(perm_problems)
-    if perms is not None:
-        for g in fan.group.elements():
-            perm = perms[g]
-            for c in fan.cones:
-                image = tuple(sorted(perm[i] for i in c.rays))
-                if image not in cone_sets:
-                    problems.append(
-                        f"element {g} sends cone {c.rays} to {image}, which is not a cone"
-                    )
-        fan._cache["ray_perms"] = perms
-    report = ValidationReport(tuple(problems))
-    fan._cache["report"] = report
-    return report
+    return problems
 
 
 def _checked_cone(fan: GFan, cone) -> Cone:
@@ -419,28 +460,7 @@ def ray_orbits(fan: GFan):
     Returns a tuple of (orbit, stabilizer) pairs; orbits are sorted
     tuples of ray indices, ordered by their smallest member.
     """
-    fan.require_valid()
-    perms = fan._cache.get("ray_perms")
-    if perms is None:
-        perms, _ = _ray_permutations(fan)
-        fan._cache["ray_perms"] = perms
-    unseen = set(range(len(fan.rays)))
-    out = []
-    while unseen:
-        start = min(unseen)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for perm in perms:
-                j = perm[i]
-                if j not in orbit:
-                    orbit.add(j)
-                    frontier.append(j)
-        unseen -= orbit
-        stab = [g for g in fan.group.elements() if perms[g][start] == start]
-        out.append((tuple(sorted(orbit)), Subgroup(fan.group, tuple(stab))))
-    return tuple(out)
+    return fan.require_valid().ray_orbits()
 
 
 def support_lattice_points(fan: GFan, bound: int):

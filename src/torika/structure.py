@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import GLattice, GLatticeMap, permutation_module, trivial_lattice
+from .cohomology import (GLattice, GLatticeMap, permutation_lattice,
+                         permutation_module, trivial_lattice)
 from .errors import (IncompatibleModulesError, MalformedSubgroupError,
                      NotDescendableError)
-from .fans import (Cone, GFan, _checked_cone, cone_contains_point,
+from .fans import (GFan, _checked_cone, cone_contains_point,
                    is_smooth_cone, ray_orbits)
 from .groups import FiniteGroup, Subgroup
 from .linalg import IntMatrix, _kernel_array, _coords_in_basis
@@ -95,37 +96,11 @@ def pure_divisorial_truncation(fan: GFan) -> GFan:
     return GFan(rank=fan.rank, rays=fan.rays, cones=kept, action=fan.action)
 
 
-def _cone_ray_orbits(fan: GFan, cone: Cone):
-    """Orbits of the group on the cone's own rays, ordered by least index."""
-    perms = fan._cache.get("ray_perms")
-    rays = set(cone.rays)
-    unseen = set(rays)
-    orbits = []
-    while unseen:
-        start = min(unseen)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for perm in perms:
-                j = perm[i]
-                if j not in orbit:
-                    orbit.add(j)
-                    frontier.append(j)
-        if not orbit <= rays:
-            raise NotDescendableError(
-                f"cone {cone.rays} is not stable: orbit of ray {start} "
-                f"leaves the cone")
-        unseen -= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
-
-
 def affine_structure(fan: GFan, cone) -> AffineStructure:
     """Descent data of the affine patch attached to a stable smooth cone."""
     fan.require_valid()
     cone = _checked_cone(fan, cone)
-    perms = fan._cache["ray_perms"]
+    perms = fan.ray_permutations()
     for g in fan.group.elements():
         image = {perms[g][i] for i in cone.rays}
         if image != set(cone.rays):
@@ -133,12 +108,8 @@ def affine_structure(fan: GFan, cone) -> AffineStructure:
                 f"cone {cone.rays} is not stable under element {g}")
     if not is_smooth_cone(fan, cone):
         raise ValueError(f"cone {cone.rays} is not smooth")
-    orbits = _cone_ray_orbits(fan, cone)
-    factors = []
-    for orbit in orbits:
-        start = orbit[0]
-        stab = tuple(g for g in fan.group.elements() if perms[g][start] == start)
-        factors.append(Subgroup(fan.group, stab))
+    # a stable cone is a union of whole ray orbits
+    factors = [stab for orbit, stab in ray_orbits(fan) if orbit[0] in cone]
     # units: characters vanishing on the cone, with the dual action
     pairing = np.array([fan.rays[i].generator for i in cone.rays], dtype=object)
     if len(cone) == 0:
@@ -156,13 +127,8 @@ def affine_structure(fan: GFan, cone) -> AffineStructure:
     units = GLattice(fan.group, unit_rank, tuple(unit_action))
     # divisor module: permutation lattice on the cone's rays
     index_of = {ray: pos for pos, ray in enumerate(cone.rays)}
-    div_action = []
-    for g in fan.group.elements():
-        mat = [[0] * len(cone) for _ in range(len(cone))]
-        for pos, ray in enumerate(cone.rays):
-            mat[index_of[perms[g][ray]]][pos] = 1
-        div_action.append(IntMatrix(mat) if len(cone) else IntMatrix.zeros(0, 0))
-    divisor_module = GLattice(fan.group, len(cone), tuple(div_action))
+    divisor_module = permutation_lattice(
+        fan.group, [tuple(index_of[perm[ray]] for ray in cone.rays) for perm in perms])
     if units.rank + divisor_module.rank != fan.rank:
         raise AssertionError("unit rank plus divisor rank must equal the fan rank")
     return AffineStructure(res_factors=tuple(factors), units=units,
@@ -221,16 +187,7 @@ def character_lattice(fan: GFan) -> GLattice:
 
 def ray_permutation_lattice(fan: GFan) -> GLattice:
     """The permutation G-lattice on the fan's rays."""
-    fan.require_valid()
-    perms = fan._cache["ray_perms"]
-    n = len(fan.rays)
-    action = []
-    for g in fan.group.elements():
-        mat = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mat[perms[g][i]][i] = 1
-        action.append(IntMatrix(mat) if n else IntMatrix.zeros(0, 0))
-    return GLattice(fan.group, n, tuple(action))
+    return permutation_lattice(fan.group, fan.require_valid().ray_permutations())
 
 
 def divisor_map(fan: GFan) -> GLatticeMap:

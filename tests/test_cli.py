@@ -158,3 +158,20 @@ def test_json_output_is_deterministic(capsys):
     _, second, _ = run(capsys, "report", "--format", "json",
                        fixture_path("standard_s3"))
     assert first == second
+
+
+@pytest.mark.parametrize("error, line", [
+    (AssertionError("unit rank plus divisor rank\nmust equal the fan rank"),
+     "torika: internal error: AssertionError: unit rank plus divisor rank "
+     "must equal the fan rank"),
+    (KeyError("ray_perms"), "torika: internal error: KeyError: 'ray_perms'"),
+])
+def test_internal_error_is_one_line(capsys, monkeypatch, error, line):
+    def broken(fan):
+        raise error
+
+    monkeypatch.setattr("torika.invariants.ray_orbits", broken)
+    code, out, err = run(capsys, "report", fixture_path("p2"))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [line]

@@ -5,19 +5,24 @@ orbit-cone correspondence and by direct enumeration of small boxes.
 """
 
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 from torika.cohomology import GLattice
-from torika.errors import FanValidationError, NotInFanError
-from torika.fans import (Cone, GFan, cone_contains_point, is_smooth,
-                         is_smooth_cone, orbit_count, orbit_dimension,
-                         primitive_vector, ray_orbits, support_lattice_points,
-                         validate_fan)
+from torika.datum import load_datum
+from torika.errors import DatumError, FanValidationError, NotInFanError
+from torika.fans import (Cone, GFan, _action_problems, _independent,
+                         _layout_problems, _meet_in_common_face,
+                         cone_contains_point, is_smooth, is_smooth_cone,
+                         orbit_count, orbit_dimension, primitive_vector,
+                         ray_orbits, support_lattice_points, validate_fan)
 from torika.groups import cyclic_group, symmetric_group_3
 from torika.linalg import IntMatrix
 
-from conftest import load_fixture, random_smooth_fan
+from conftest import (FIXTURE_DIR, load_fixture, rand_unimodular,
+                      random_smooth_fan)
 
 P2 = GFan.from_max_cones(2, [(1, 0), (0, 1), (-1, -1)],
                          [(0, 1), (1, 2), (0, 2)])
@@ -225,3 +230,96 @@ def test_support_points_lie_in_support():
         for point in support_lattice_points(fan, 2):
             assert any(cone_contains_point(fan, c, point)
                        for c in fan.maximal_cones())
+
+
+def all_pairs_problems(fan):
+    """Oracle: validate_fan's problem list from the all-pairs check.
+
+    Every pair of nonzero cones with independent generators is tested,
+    faces included, where validate_fan tests maximal cones only.
+    """
+    problems = _layout_problems(fan)
+    if problems:
+        return tuple(problems)
+    good = []
+    for c in fan.cones:
+        if not _independent(fan, c):
+            problems.append(f"cone {c.rays} has linearly dependent generators")
+        elif c.rays:
+            good.append(c)
+    for a in range(len(good)):
+        for b in range(a + 1, len(good)):
+            if not _meet_in_common_face(fan, good[a], good[b]):
+                problems.append(
+                    f"cones {good[a].rays} and {good[b].rays} do not intersect "
+                    f"in their common face"
+                )
+    return tuple(problems + _action_problems(fan))
+
+
+def product_fan(rng, d):
+    """(P^1)^d in a random basis."""
+    u = rand_unimodular(rng, d)
+    rays = [primitive_vector(u.apply(tuple(s if k == i else 0 for k in range(d))))
+            for i in range(d) for s in (1, -1)]
+    cones = [tuple(2 * i + side for i, side in enumerate(signs))
+             for signs in product((0, 1), repeat=d)]
+    return GFan.from_max_cones(d, rays, cones)
+
+
+def broken_fan(rng):
+    """A smooth fan with an overlapping maximal cone added or a ray moved."""
+    fan = random_smooth_fan(rng) if rng.random() < 0.6 else product_fan(rng, 3)
+    rays = [list(r.generator) for r in fan.rays]
+    cones = [c.rays for c in fan.maximal_cones()]
+    if rng.random() < 0.5:
+        # a new ray through a maximal cone, in a new cone with other rays
+        inside = rng.choice(cones)
+        rays.append(primitive_vector(
+            [sum(rng.randint(1, 3) * rays[i][k] for i in inside)
+             for k in range(fan.rank)]))
+        others = rng.sample(range(len(rays) - 1),
+                            rng.randint(0, min(fan.rank, len(rays)) - 1))
+        cones.append(tuple([len(rays) - 1] + others))
+    else:
+        # move one ray by a multiple of another, possibly across a wall
+        i, j = rng.sample(range(len(rays)), 2) if len(rays) > 1 else (0, 0)
+        c = rng.choice((-2, -1, 1, 2))
+        rays[i] = primitive_vector([a + c * b for a, b in zip(rays[i], rays[j])])
+    return GFan.from_max_cones(fan.rank, rays, cones)
+
+
+def test_maximal_pairs_agree_with_all_pairs_on_smooth_fans():
+    rng = random.Random(4242)
+    fans = [random_smooth_fan(rng) for _ in range(20)]
+    fans += [product_fan(rng, d) for d in (2, 3) for _ in range(3)]
+    for fan in fans:
+        assert validate_fan(fan).ok
+        assert all_pairs_problems(fan) == ()
+
+
+def test_maximal_pairs_agree_with_all_pairs_on_broken_fans():
+    rng = random.Random(515)
+    verdicts = []
+    for _ in range(60):
+        fan = broken_fan(rng)
+        report = validate_fan(fan)
+        oracle = all_pairs_problems(fan)
+        assert report.ok == (not oracle), (fan, report.problems, oracle)
+        assert set(report.problems) <= set(oracle)
+        verdicts.append(report.ok)
+    # the generator must produce both outcomes for the check to mean much
+    assert verdicts.count(False) >= 20 and verdicts.count(True) >= 5
+
+
+def test_problem_lists_match_all_pairs_oracle_on_files():
+    data = Path(__file__).resolve().parent / "data"
+    compared = 0
+    for path in sorted(data.glob("*.json")) + sorted(FIXTURE_DIR.glob("*.json")):
+        try:
+            fan = load_datum(str(path), require_valid=False).fan
+        except DatumError:
+            continue
+        assert validate_fan(fan).problems == all_pairs_problems(fan), path.name
+        compared += 1
+    assert compared == 22
