@@ -1,11 +1,14 @@
 """Lattices with a finite group action and their low-degree cohomology.
 
-Cohomology is computed from the inhomogeneous bar resolution: an
-n-cochain is a dense integer vector of dimension rank * |G|^n, indexed
-blockwise by tuples (g1, ..., gn), and each coboundary is assembled as
-an explicit integer matrix.  H^n is kernel modulo image, and every
-result retains a basis of its cocycle lattice together with the
-coboundary generators written in that basis, so maps induced on
+Cochains come from the inhomogeneous bar resolution: an n-cochain is a
+dense integer vector of dimension rank * |G|^n, indexed blockwise by
+tuples (g1, ..., gn).  H^1 is ker d^1 modulo im d^0.  H^2 needs no d^2:
+n = |G| kills H^1 and H^2, so 0 -> L -n-> L -> L/nL -> 0 gives
+H^2(G, L) = H^1(G, L/nL) / H^1(G, L) (Brown, Cohomology of Groups, III),
+whose cocycles are the f in C^1 with d^1 f = 0 mod n and whose
+boundaries are Z^1 + n C^1; one Smith form of d^1 presents both.
+Every result retains a basis of its cocycle lattice together with the
+boundary generators written in that basis, so maps induced on
 cohomology can be computed afterwards without re-deriving anything.
 """
 
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -28,13 +32,15 @@ from .linalg import (
     _kernel_array,
     _lattice_basis,
     _matmul,
+    _nonredundant_rows,
+    _smith,
     _unimodular_inverse,
 )
 
-# Practical ceiling for the dense bar-resolution model: degree-2 work
-# scales with |G|^3 * rank, so these keep matrix sides in the thousands.
+# Size guards.  The largest matrix any degree builds is d^1, of shape
+# (rank * |G|^2) x (rank * |G|): 2304 x 192 at these limits.
 ORDER_LIMIT = 12
-RANK_LIMIT = 8
+RANK_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -67,10 +73,11 @@ class GLattice:
         e = self.group.identity
         if mats[e] != IntMatrix.identity(self.rank):
             raise ValueError("identity element must act as the identity matrix")
-        for g in self.group.elements():
-            for h in self.group.elements():
-                if mats[g] @ mats[h] != mats[self.group.mul(g, h)]:
-                    raise ValueError(f"action is not a homomorphism at ({g}, {h})")
+        acts = np.stack([m.to_array() for m in mats])
+        products = np.matmul(acts[:, None], acts[None, :])
+        wrong = np.argwhere((products != acts[np.array(self.group.table)]).any(axis=(2, 3)))
+        if len(wrong):
+            raise ValueError("action is not a homomorphism at ({}, {})".format(*wrong[0]))
 
     def act(self, g) -> IntMatrix:
         return self.action[g]
@@ -157,7 +164,9 @@ class CohomologyResult:
     `cocycles` has the basis of the cocycle lattice as columns (inside
     the dense cochain space); `boundaries` expresses the coboundary
     generators in that basis, so the group is Z^k modulo its column
-    span.
+    span.  For degree 2 both live in C^1: the cocycles are the
+    1-cochains f with d^1 f = 0 mod |G|, the boundaries generate
+    Z^1 + |G| C^1, and the boundary matrix is diagonal.
     """
 
     degree: int
@@ -167,15 +176,16 @@ class CohomologyResult:
     boundaries: IntMatrix
 
 
-def _check_limits(lattice, order_limit, rank_limit):
-    if lattice.group.order > order_limit:
-        raise ResourceLimitError(
-            f"group order {lattice.group.order} exceeds the limit {order_limit}"
-        )
-    if lattice.rank > rank_limit:
-        raise ResourceLimitError(
-            f"lattice rank {lattice.rank} exceeds the limit {rank_limit}"
-        )
+def _check_limits(lattice, order_limit, rank_limit, raisable=True):
+    order, rank = lattice.group.order, lattice.rank
+    for what, flag, value, limit in (("group order", "order", order, order_limit),
+                                     ("lattice rank", "rank", rank, rank_limit)):
+        if value > limit:
+            how = (f"; raise it with {flag}_limit= or torika cohomology "
+                   f"--{flag}-limit" if raisable else "")
+            raise ResourceLimitError(
+                f"{what} {value} exceeds the limit {limit} (d^1 would be "
+                f"{rank * order ** 2}x{rank * order}){how}")
 
 
 def _flat(tup, order):
@@ -228,13 +238,30 @@ def _invariants_basis(lattice: GLattice):
     return _kernel_array(np.concatenate(stacked, axis=0))
 
 
+def _shifted_basis(lattice: GLattice):
+    """(v, w, lifts, orders) from one Smith form s = u @ d^1 @ v, w = v^-1.
+
+    In the coordinates y = w @ f, f is a cocycle mod n exactly when each
+    y[i] is divisible by lifts[i], and lies in Z^1 + n C^1 exactly when
+    each y[i] is divisible by lifts[i] * orders[i]: H^2 = sum Z/orders[i].
+    """
+    n = lattice.group.order
+    d1 = _nonredundant_rows(_coboundary_array(lattice, 1))
+    s, _, v, w = _smith(d1, want_v=True)
+    diag = [s[i, i] if i < s.shape[0] else 0 for i in range(s.shape[1])]
+    lifts = tuple(n // gcd(n, d) if d else 1 for d in diag)
+    orders = tuple(gcd(n, d) if d else 1 for d in diag)
+    return v, w, lifts, orders
+
+
 def cohomology(lattice: GLattice, degree: int, *,
                order_limit: int = ORDER_LIMIT,
                rank_limit: int = RANK_LIMIT) -> CohomologyResult:
     """H^degree(G, L) for degree 0, 1 or 2, with retained presentation.
 
     H^0 is the fixed lattice (always free); H^1 and H^2 are finite and
-    come back in invariant-factor form.
+    come back in invariant-factor form.  H^2 is read off d^1 by the
+    dimension shift described in the module docstring.
     """
     if degree not in (0, 1, 2):
         raise ValueError("only degrees 0, 1 and 2 are supported")
@@ -249,12 +276,19 @@ def cohomology(lattice: GLattice, degree: int, *,
             cocycles=IntMatrix.from_array(inv),
             boundaries=IntMatrix.zeros(k, 0),
         )
-    d_here = _coboundary_array(lattice, degree)
-    d_prev = _coboundary_array(lattice, degree - 1)
-    z = _kernel_array(d_here)
-    y = _coords_in_basis(z, d_prev)
+    if degree == 2:
+        v, _, lifts, orders = _shifted_basis(lattice)
+        return CohomologyResult(
+            degree=2,
+            coefficients=lattice,
+            group=FinAbGroup(0, tuple(d for d in orders if d > 1)),
+            cocycles=IntMatrix.from_array(v * np.array(lifts, dtype=object)),
+            boundaries=IntMatrix.from_array(np.diag(np.array(orders, dtype=object))),
+        )
+    z = _kernel_array(_coboundary_array(lattice, 1))
+    y = _coords_in_basis(z, _coboundary_array(lattice, 0))
     return CohomologyResult(
-        degree=degree,
+        degree=1,
         coefficients=lattice,
         group=_cokernel_array(y),
         cocycles=IntMatrix.from_array(z),
@@ -265,7 +299,7 @@ def cohomology(lattice: GLattice, degree: int, *,
 def tate_cyclic_h2(lattice: GLattice) -> FinAbGroup:
     """H^2(G, L) for cyclic G, evaluated as L^G modulo the norm sublattice.
 
-    Independent of the bar-resolution route: uses only the fixed lattice
+    Independent of the dimension-shift route: uses only the fixed lattice
     and the norm map, which is how the group is usually computed by hand
     for cyclic groups.
     """
@@ -318,46 +352,47 @@ def _checked_result(fmap_side, result, degree):
 def induced_h2_map(fmap: GLatticeMap,
                    source_result: CohomologyResult | None = None,
                    target_result: CohomologyResult | None = None) -> InducedCohomologyMap:
-    """The map H^2(G, source) -> H^2(G, target) induced by an equivariant map."""
+    """The map H^2(G, source) -> H^2(G, target) induced by an equivariant map.
+
+    The dimension shift is natural in the lattice, so the map acts on
+    the 1-cochains of the presentations block by block.
+    """
     r1 = (_checked_result(fmap.source, source_result, 2)
           if source_result is not None else cohomology(fmap.source, 2))
     r2 = (_checked_result(fmap.target, target_result, 2)
           if target_result is not None else cohomology(fmap.target, 2))
-    order = fmap.source.group.order
-    fz = _apply_blockwise(fmap, r1.cocycles.to_array(), order ** 2)
+    fz = _apply_blockwise(fmap, r1.cocycles.to_array(), fmap.source.group.order)
     w = _coords_in_basis(r2.cocycles.to_array(), fz)
     return InducedCohomologyMap(source=r1, target=r2, matrix=IntMatrix.from_array(w))
 
 
-def _relative_quotient(generators, sublattice) -> FinAbGroup:
-    """Quotient of the lattice spanned by `generators` by `sublattice` columns."""
-    basis = _lattice_basis(generators)
-    coords = _coords_in_basis(basis, sublattice)
-    return _cokernel_array(coords)
+def _preimage_quotient(images, relations, boundaries) -> FinAbGroup:
+    """The x with images @ x in the span of `relations`, modulo `boundaries`."""
+    k = images.shape[1]
+    ker = _kernel_array(np.concatenate([images, relations], axis=1))
+    basis = _lattice_basis(ker[:k, :])
+    return _cokernel_array(_coords_in_basis(basis, boundaries))
 
 
 def kernel_of_h2_map(fmap: GLatticeMap,
                      source_result: CohomologyResult | None = None) -> FinAbGroup:
-    """Kernel of the induced H^2 map, computed by cochain lifting.
+    """Kernel of the induced H^2 map, by a membership test on 1-cochains.
 
-    Works entirely with honest cochains: a source cocycle class lies in
-    the kernel exactly when its image cochain is a coboundary of the
-    target, so the kernel is the preimage lattice of the target's
-    coboundary span, divided by the source's own coboundaries.  No
-    presentation of the target cohomology is ever chosen.
+    A source class z is in the kernel exactly when f(z) lies in the
+    target's Z^1 + n C^1: in the target's Smith coordinates y = w @ f(z)
+    (`_shifted_basis`), y[i] = 0 mod n wherever orders[i] > 1.  No
+    presentation of the target cohomology is built.
     """
     r1 = (_checked_result(fmap.source, source_result, 2)
           if source_result is not None else cohomology(fmap.source, 2))
-    _check_limits(fmap.target, ORDER_LIMIT, RANK_LIMIT)
+    _check_limits(fmap.target, ORDER_LIMIT, RANK_LIMIT, raisable=False)
     order = fmap.source.group.order
-    k1 = r1.cocycles.cols
-    z1 = r1.cocycles.to_array()
-    fz = _apply_blockwise(fmap, z1, order ** 2)
-    d1_target = _coboundary_array(fmap.target, 1)
-    aug = np.concatenate([fz, d1_target], axis=1)
-    ker = _kernel_array(aug)
-    pre_gens = ker[:k1, :]
-    return _relative_quotient(pre_gens, r1.boundaries.to_array())
+    _, w, _, orders = _shifted_basis(fmap.target)
+    tested = [i for i, d in enumerate(orders) if d > 1]
+    fz = _apply_blockwise(fmap, r1.cocycles.to_array(), order)
+    return _preimage_quotient(_matmul(w[tested, :], fz),
+                              order * _eye(len(tested)),
+                              r1.boundaries.to_array())
 
 
 def kernel_of_h2_map_via_presentations(
@@ -372,10 +407,6 @@ def kernel_of_h2_map_via_presentations(
     """
     if induced is None:
         induced = induced_h2_map(fmap)
-    k1 = induced.source.cocycles.cols
-    w = induced.matrix.to_array()
-    b2 = induced.target.boundaries.to_array()
-    aug = np.concatenate([w, b2], axis=1)
-    ker = _kernel_array(aug)
-    pre_gens = ker[:k1, :]
-    return _relative_quotient(pre_gens, induced.source.boundaries.to_array())
+    return _preimage_quotient(induced.matrix.to_array(),
+                              induced.target.boundaries.to_array(),
+                              induced.source.boundaries.to_array())

@@ -429,7 +429,7 @@ def is_smooth_cone(fan: GFan, cone) -> bool:
     from .linalg import _smith
 
     gens = np.array([fan.rays[i].generator for i in cone.rays], dtype=object)
-    s, _, _ = _smith(gens)
+    s = _smith(gens)[0]
     diag = [s[i, i] for i in range(min(gens.shape))]
     return len([d for d in diag if d]) == len(cone) and all(
         d in (0, 1) for d in diag

@@ -17,7 +17,8 @@ from .errors import StageError, TorikaError
 from .fans import GFan, is_smooth, orbit_count, ray_orbits
 from .linalg import FinAbGroup, cokernel
 from .structure import (divisor_map, is_pure_divisorial,
-                        pure_divisorial_truncation, tropical_int_check)
+                        pure_divisorial_truncation, ray_matrix,
+                        tropical_int_check)
 
 
 def class_group(fan: GFan) -> FinAbGroup:
@@ -25,12 +26,12 @@ def class_group(fan: GFan) -> FinAbGroup:
 
     For a smooth fan this is the Picard group: the cokernel of the map
     sending a character to its divisor, presented by the matrix whose
-    rows are the ray generators.
+    rows are the ray generators; the group action plays no part.
     """
     fan.require_valid()
     if not is_smooth(fan):
         raise ValueError("the class group computation expects a smooth fan")
-    return cokernel(divisor_map(fan).matrix)
+    return cokernel(ray_matrix(fan))
 
 
 def brauer_kernel(fan: GFan) -> FinAbGroup:

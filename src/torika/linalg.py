@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import neg
 
 import numpy as np
 
@@ -305,14 +306,15 @@ def _find_pivot(s, k):
 def _smith(a, want_u=False, want_v=False):
     """Diagonalize a copy of `a` by unimodular row/column operations.
 
-    Returns (s, u, v) with u @ a @ v == s; u and v are None unless
-    requested.  The diagonal is nonnegative, satisfies the divisibility
-    chain and has its zeros trailing.
+    Returns (s, u, v, w) with u @ a @ v == s and w @ v == 1; u is None
+    unless requested, v and w unless want_v.  The diagonal is nonnegative,
+    satisfies the divisibility chain and has its zeros trailing.
     """
     m, n = a.shape
     s = a.copy()
     u = _eye(m) if want_u else None
     v = _eye(n) if want_v else None
+    w = _eye(n) if want_v else None
     limit = min(m, n)
     k = 0
     while k < limit:
@@ -330,10 +332,9 @@ def _smith(a, want_u=False, want_v=False):
                 s[:, [k, j]] = s[:, [j, k]]
                 if v is not None:
                     v[:, [k, j]] = v[:, [j, k]]
+                    w[[k, j], :] = w[[j, k], :]
             clear = True
-            for r in range(k + 1, m):
-                if s[r, k] == 0:
-                    continue
+            for r in np.flatnonzero(s[k + 1:, k]) + (k + 1):
                 q = s[r, k] // s[k, k]
                 if q:
                     s[r, k:] -= q * s[k, k:]
@@ -341,14 +342,13 @@ def _smith(a, want_u=False, want_v=False):
                         u[r, :] -= q * u[k, :]
                 if s[r, k]:
                     clear = False
-            for c in range(k + 1, n):
-                if s[k, c] == 0:
-                    continue
+            for c in np.flatnonzero(s[k, k + 1:]) + (k + 1):
                 q = s[k, c] // s[k, k]
                 if q:
                     s[:, c] -= q * s[:, k]
                     if v is not None:
                         v[:, c] -= q * v[:, k]
+                        w[k, :] += q * w[c, :]
                 if s[k, c]:
                     clear = False
             if clear:
@@ -360,6 +360,7 @@ def _smith(a, want_u=False, want_v=False):
             s[i, i] = -s[i, i]
             if v is not None:
                 v[:, i] = -v[:, i]
+                w[i, :] = -w[i, :]
     # enforce the divisibility chain
     changed = True
     while changed:
@@ -375,6 +376,8 @@ def _smith(a, want_u=False, want_v=False):
             if v is not None:
                 v[:, i] += v[:, j]
                 v[:, j] -= (y * d1 // g) * v[:, i]
+                w[j, :] -= w[i, :]
+                w[i, :] += (y * d1 // g) * w[j, :]
             if u is not None:
                 ui = u[i, :].copy()
                 uj = u[j, :].copy()
@@ -382,7 +385,7 @@ def _smith(a, want_u=False, want_v=False):
                 u[j, :] = (-(d1 // g)) * ui + (d0 // g) * uj
             s[i, i] = g
             s[j, j] = lcm
-    return s, u, v
+    return s, u, v, w
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -390,7 +393,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     Returns SmithDecomposition(u, s, v) satisfying u @ m @ v == s.
     """
-    s, u, v = _smith(m.to_array(), want_u=True, want_v=True)
+    s, u, v, _ = _smith(m.to_array(), want_u=True, want_v=True)
     return SmithDecomposition(
         u=IntMatrix.from_array(u),
         s=IntMatrix.from_array(s),
@@ -401,19 +404,17 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 def _nonredundant_rows(a):
     """Drop zero rows and rows equal (up to sign) to an earlier row.
 
-    Only safe when the row span's solution set is what matters, as in
-    kernel computations.
+    Only safe when the row lattice is what matters, as in kernel and
+    Smith-form computations.
     """
     seen = set()
     keep = []
-    for i in range(a.shape[0]):
-        t = tuple(a[i])
-        if not any(t):
-            continue
-        if t in seen:
+    for i, row in enumerate(a.tolist()):
+        t = tuple(row)
+        if t in seen or not any(t):
             continue
         seen.add(t)
-        seen.add(tuple(-x for x in t))
+        seen.add(tuple(map(neg, t)))
         keep.append(i)
     if len(keep) == a.shape[0]:
         return a
@@ -501,7 +502,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
 
 def _cokernel_array(a) -> FinAbGroup:
-    s, _, _ = _smith(a)
+    s = _smith(a)[0]
     diag = [s[i, i] for i in range(min(a.shape))]
     nonzero = [d for d in diag if d]
     return FinAbGroup(
@@ -520,7 +521,7 @@ def solve_integer(m: IntMatrix, b):
     vec = tuple(int(x) for x in b)
     if len(vec) != m.rows:
         raise ValueError(f"right-hand side of length {len(vec)} against {m.shape}")
-    s, u, v = _smith(m.to_array(), want_u=True, want_v=True)
+    s, u, v, _ = _smith(m.to_array(), want_u=True, want_v=True)
     c = [sum(u[i, j] * vec[j] for j in range(m.rows)) for i in range(m.rows)]
     n = m.cols
     y = [0] * n
@@ -549,7 +550,7 @@ def _unimodular_inverse(a):
     m, n = a.shape
     if m != n:
         raise ValueError("only square matrices can be unimodular")
-    s, u, v = _smith(a, want_u=True, want_v=True)
+    s, u, v, _ = _smith(a, want_u=True, want_v=True)
     if any(s[i, i] != 1 for i in range(n)):
         raise ValueError("matrix is not unimodular")
     return _matmul(v, u)

@@ -190,20 +190,22 @@ def ray_permutation_lattice(fan: GFan) -> GLattice:
     return permutation_lattice(fan.group, fan.require_valid().ray_permutations())
 
 
+def ray_matrix(fan: GFan) -> IntMatrix:
+    """The matrix whose row r is the generator of ray r."""
+    return IntMatrix([r.generator for r in fan.rays], cols=fan.rank)
+
+
 def divisor_map(fan: GFan) -> GLatticeMap:
     """The map M -> Z^rays sending a character to its boundary divisor.
 
-    Row r of the matrix is the generator of ray r, so the image of m is
-    the vector of pairings <m, v_r>.  The map is equivariant for the
-    dual action on M and the permutation action on rays.
+    Its matrix is `ray_matrix(fan)`, so the image of m is the vector of
+    pairings <m, v_r>.  The map is equivariant for the dual action on M
+    and the permutation action on rays.
     """
     fan.require_valid()
-    rows = [list(r.generator) for r in fan.rays]
-    matrix = (IntMatrix(rows) if rows
-              else IntMatrix.zeros(0, fan.rank))
     return GLatticeMap(source=character_lattice(fan),
                        target=ray_permutation_lattice(fan),
-                       matrix=matrix)
+                       matrix=ray_matrix(fan))
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,40 @@
-"""Group cohomology of lattices via the bar resolution.
+"""Group cohomology of lattices.
 
 Frozen values were cross-checked against the cyclic norm-quotient
 oracle (H^2 = L^G / N.L for cyclic G) and, for degree one, against
 direct cocycle/coboundary enumeration done while deriving the tests.
+H^2 and the Brauer-type kernels are also checked against the bar
+route (`bar_h2`, `bar_kernel`): kernel of d^2 modulo the image of d^1,
+with maps lifted on 2-cochains.
 """
 
 import random
+from math import gcd
 
+import numpy as np
 import pytest
 
-from torika.cohomology import (GLattice, GLatticeMap, coboundary_matrix,
+from torika.cohomology import (RANK_LIMIT, GLattice, GLatticeMap,
+                               _apply_blockwise, _coboundary_array,
+                               _preimage_quotient, coboundary_matrix,
                                cohomology, induced_h2_map, kernel_of_h2_map,
                                kernel_of_h2_map_via_presentations,
                                permutation_module, tate_cyclic_h2,
                                trivial_lattice)
 from torika.errors import (IncompatibleModulesError, ResourceLimitError,
                            UnsupportedGroupError)
+from torika.fans import GFan
 from torika.groups import (cyclic_group, klein_four_group, symmetric_group_3,
                            trivial_group)
-from torika.linalg import FinAbGroup, IntMatrix
+from torika.invariants import brauer_kernel
+from torika.linalg import (FinAbGroup, IntMatrix, _cokernel_array,
+                           _coords_in_basis, _kernel_array,
+                           _unimodular_inverse)
+from torika.structure import (divisor_map, pure_divisorial_truncation,
+                              standard_fan)
 
-from conftest import cyclic_lattice, random_equivariant_map
+from conftest import (FIXTURE_NAMES, cyclic_lattice, load_fixture,
+                      rand_unimodular, random_equivariant_map)
 
 C2 = cyclic_group(2)
 SIGN = GLattice(C2, 1, (IntMatrix.identity(1), IntMatrix([[-1]])))
@@ -133,7 +147,7 @@ def test_degree_guard():
 
 def test_resource_limits():
     with pytest.raises(ResourceLimitError):
-        cohomology(trivial_lattice(C2, 9), 2)
+        cohomology(trivial_lattice(C2, RANK_LIMIT + 1), 2)
     with pytest.raises(ResourceLimitError):
         cohomology(trivial_lattice(cyclic_group(13), 1), 2)
     # overridable
@@ -215,3 +229,204 @@ def test_kernel_agreement_random():
         b = cyclic_lattice(rng, group, rng.randint(1, 3))
         f = random_equivariant_map(rng, a, b)
         assert kernel_of_h2_map(f) == kernel_of_h2_map_via_presentations(f)
+
+
+# --- the bar route, kept as an oracle -----------------------------------------
+
+def bar_h2(lattice):
+    """H^2 as ker d^2 modulo im d^1: (group, 2-cocycle basis, boundaries)."""
+    z = _kernel_array(_coboundary_array(lattice, 2))
+    y = _coords_in_basis(z, _coboundary_array(lattice, 1))
+    return _cokernel_array(y), z, y
+
+
+def bar_kernel(fmap):
+    """Kernel of the induced H^2 map: bar 2-cocycles whose image is a coboundary."""
+    _, z, y = bar_h2(fmap.source)
+    fz = _apply_blockwise(fmap, z, fmap.source.group.order ** 2)
+    return _preimage_quotient(fz, _coboundary_array(fmap.target, 1), y)
+
+
+def _in_basis(rng, lattice):
+    """The same lattice in a random basis."""
+    u = rand_unimodular(rng, lattice.rank)
+    u_inv = IntMatrix.from_array(_unimodular_inverse(u.to_array()))
+    return GLattice(lattice.group, lattice.rank,
+                    tuple(u @ m @ u_inv for m in lattice.action))
+
+
+def _augmentation_kernel(group, sub):
+    """The kernel of Z[G/H] -> Z, on the basis e_i - e_0."""
+    perm = permutation_module(group, sub)
+    k = perm.rank - 1
+    mats = []
+    for m in perm.action:
+        image = [m.column(i).index(1) for i in range(perm.rank)]
+        cols = []
+        for i in range(1, perm.rank):
+            col = [0] * k
+            for j, sign in ((image[i], 1), (image[0], -1)):
+                if j:
+                    col[j - 1] += sign
+            cols.append(col)
+        mats.append(IntMatrix.from_columns(cols, rows=k))
+    return GLattice(group, k, tuple(mats))
+
+
+def _pieces(group):
+    """Small indecomposable-ish lattices: Z, sign characters, Z[G/H], I_{G/H}."""
+    pieces = [trivial_lattice(group, 1)]
+    for sub in group.cyclic_subgroups():
+        if sub.index == 2:
+            pieces.append(GLattice(group, 1, tuple(
+                IntMatrix([[1 if g in sub else -1]]) for g in group.elements())))
+        if sub.index > 1:
+            pieces.append(permutation_module(group, sub))
+            pieces.append(_augmentation_kernel(group, sub))
+    return pieces
+
+
+def random_lattice(rng, group, max_rank):
+    """A random lattice in a random basis.
+
+    A direct sum of pieces (or a cyclic lattice), dualized at random;
+    about a third get a permutation module added.
+    """
+    pieces = [p for p in _pieces(group) if p.rank <= max_rank]
+    lattice = (cyclic_lattice(rng, group, rng.randint(1, 3))
+               if group.is_cyclic() and rng.random() < 0.3
+               else rng.choice(pieces))
+    while rng.random() < 0.5:
+        extra = rng.choice(pieces)
+        if lattice.rank + extra.rank <= max_rank:
+            lattice = lattice.direct_sum(extra)
+    if rng.random() < 0.4:
+        lattice = lattice.dual()
+    if rng.random() < 0.35:
+        perms = [permutation_module(group, sub) for sub in group.cyclic_subgroups()
+                 if 1 < sub.index <= max_rank + 2 - lattice.rank]
+        if perms:
+            lattice = lattice.direct_sum(rng.choice(perms))
+    return _in_basis(rng, lattice)
+
+
+DIFFERENTIAL_GROUPS = [cyclic_group(n) for n in (2, 3, 4, 5, 6)] + [
+    klein_four_group(), symmetric_group_3()]
+
+
+def test_h2_matches_bar_route():
+    rng = random.Random(20261018)
+    checked = nontrivial = 0
+    for group in DIFFERENTIAL_GROUPS:
+        max_rank = 5 if group.order <= 4 else 4
+        for _ in range(12):
+            lattice = random_lattice(rng, group, max_rank)
+            got = cohomology(lattice, 2).group
+            assert got == bar_h2(lattice)[0], (group.name, lattice.action)
+            checked += 1
+            nontrivial += not got.is_trivial
+    assert checked >= 80 and nontrivial >= 20
+
+
+def test_kernel_matches_bar_lift_on_random_maps():
+    # a -> a + b, x |-> (k x + t(x), t'(x)) with t, t' group averages:
+    # averages induce 0 on H^2, so the kernel is the k-torsion of H^2(a)
+    rng = random.Random(77)
+    cases = [(random_lattice(rng, group, 3), rng.choice((1, 2, 3, 4, 6)))
+             for group in DIFFERENTIAL_GROUPS for _ in range(3)]
+    # partial kernels: Z/4 -> Z/2, (Z/6)^2 -> (Z/3)^2, Z/6 -> Z/2
+    cases += [(trivial_lattice(cyclic_group(4), 1), 2),
+              (trivial_lattice(cyclic_group(6), 2), 3),
+              (trivial_lattice(cyclic_group(6), 1), 4)]
+    for a, k in cases:
+        b = random_lattice(rng, a.group, 3)
+        top = random_equivariant_map(rng, a, a).matrix
+        bottom = random_equivariant_map(rng, a, b).matrix
+        matrix = IntMatrix(
+            [[x + (k if i == j else 0) for j, x in enumerate(top.row(i))]
+             for i in range(a.rank)] + bottom.to_rows(), cols=a.rank)
+        f = GLatticeMap(source=a, target=a.direct_sum(b), matrix=matrix)
+        want = bar_kernel(f)
+        assert kernel_of_h2_map(f) == want, a.group.name
+        assert kernel_of_h2_map_via_presentations(f) == want, a.group.name
+        h2 = cohomology(a, 2).group
+        assert want == FinAbGroup(0, tuple(
+            gcd(k, d) for d in h2.torsion if gcd(k, d) > 1)), (k, h2, want)
+
+
+def test_kernel_matches_bar_lift_on_fixtures():
+    for name in FIXTURE_NAMES:
+        dm = divisor_map(pure_divisorial_truncation(load_fixture(name).fan))
+        assert kernel_of_h2_map(dm) == bar_kernel(dm), name
+
+
+def _orbit_fan(rng, lattice, least_rays, most_rays):
+    """A pure divisorial fan whose rays are whole orbits of random vectors."""
+    while True:
+        rays = []
+        while len(rays) < least_rays:
+            v = tuple(rng.randint(-3, 3) for _ in range(lattice.rank))
+            if any(v) and np.gcd.reduce(v) == 1 and v not in rays:
+                rays += sorted({lattice.act(g).apply(v) for g in lattice.group.elements()})
+        if len(rays) <= most_rays:  # rays is a union of whole orbits
+            cones = [()] + [(i,) for i in range(len(rays))]
+            return GFan(rank=lattice.rank, rays=tuple(rays), cones=tuple(cones),
+                        action=lattice).require_valid()
+
+
+def test_kernel_matches_bar_lift_on_wide_fans():
+    s3, c6 = symmetric_group_3(), cyclic_group(6)
+    s3_c2, s3_c3 = s3.cyclic_subgroups()[1], s3.cyclic_subgroups()[-1]
+    c6_c2, c6_c3 = c6.generated_subgroup((3,)), c6.generated_subgroup((2,))
+    fans = [standard_fan(s3, [s3.trivial_subgroup(), s3_c2]),
+            standard_fan(c6, [c6.trivial_subgroup(), c6_c2, c6_c3])]
+    rng = random.Random(13)
+    for group in (s3, c6):
+        for _ in range(2):
+            fans.append(_orbit_fan(rng, random_lattice(rng, group, 3), 9, 13))
+    for fan in fans:
+        assert 9 <= len(fan.rays) <= 13
+        dm = divisor_map(fan)
+        assert kernel_of_h2_map(dm) == bar_kernel(dm), (fan.group.name, fan.rays)
+
+
+def test_trivial_group_p1_power_5_has_kernel_zero():
+    rays = [tuple(s if j == i else 0 for j in range(5))
+            for i in range(5) for s in (1, -1)]
+    fan = GFan(rank=5, rays=tuple(rays),
+               cones=tuple([()] + [(i,) for i in range(10)]),
+               action=trivial_lattice(trivial_group(), 5))
+    assert brauer_kernel(fan.require_valid()).is_trivial
+
+
+def test_broken_action_names_first_failing_pair():
+    rng = random.Random(8)
+    for group in (cyclic_group(3), cyclic_group(4), klein_four_group(),
+                  symmetric_group_3()):
+        for _ in range(3):
+            mats = list(random_lattice(rng, group, 3).action)
+            g, h = rng.sample(range(1, group.order), 2)
+            mats[g], mats[h] = mats[h], mats[g]
+            first = next(((a, b) for a in group.elements() for b in group.elements()
+                          if mats[a] @ mats[b] != mats[group.mul(a, b)]), None)
+            if first is None:
+                continue
+            with pytest.raises(ValueError,
+                               match=rf"not a homomorphism at \({first[0]}, {first[1]}\)"):
+                GLattice(group, len(mats[0].row(0)), tuple(mats))
+
+
+def test_resource_limit_message_names_size_and_flag():
+    with pytest.raises(ResourceLimitError,
+                       match=r"rank 17 exceeds the limit 16 \(d\^1 would be 68x34\); "
+                             r"raise it with rank_limit= or torika cohomology --rank-limit"):
+        cohomology(trivial_lattice(C2, 17), 2)
+    with pytest.raises(ResourceLimitError, match=r"order 13 exceeds the limit 12 .*--order-limit"):
+        cohomology(trivial_lattice(cyclic_group(13), 1), 1)
+    # the target of a kernel computation has fixed limits: no flag to name
+    big = trivial_lattice(C2, 17)
+    f = GLatticeMap(source=trivial_lattice(C2, 1), target=big,
+                    matrix=IntMatrix([[1]] + [[0]] * 16))
+    with pytest.raises(ResourceLimitError) as info:
+        kernel_of_h2_map(f)
+    assert "68x34" in str(info.value) and "raise" not in str(info.value)

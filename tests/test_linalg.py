@@ -6,6 +6,7 @@ independent oracle.
 """
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from torika.linalg import (FinAbGroup, IntMatrix, cokernel, kernel_basis,
                            smith_normal_form, solve_integer)
-from torika.linalg import _coords_in_basis, _det, _is_unimodular
+from torika.linalg import _coords_in_basis, _det, _is_unimodular, _smith
 
 from conftest import rand_unimodular
 
@@ -53,6 +54,18 @@ def assert_valid_smith(m: IntMatrix):
             if i != j:
                 assert dec.s[i, j] == 0
     return dec
+
+
+def test_smith_tracks_inverse_column_transform():
+    rng = random.Random(4)
+    for case in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = IntMatrix([[rng.randint(-12, 12) for _ in range(cols)]
+                       for _ in range(rows)])
+        s, _, v, w = _smith(m.to_array(), want_v=True)
+        assert IntMatrix.from_array(w) @ IntMatrix.from_array(v) == \
+            IntMatrix.identity(cols), case
+        assert IntMatrix.from_array(s) == smith_normal_form(m).s, case
 
 
 def test_smith_frozen_values():
