@@ -341,10 +341,13 @@ class InducedCohomologyMap:
     matrix: IntMatrix
 
 
-def _checked_result(fmap_side, result, degree):
-    if result.degree != degree:
-        raise IncompatibleModulesError(f"expected a degree-{degree} presentation")
-    if result.coefficients != fmap_side:
+def _h2_of(lattice, result):
+    if result is None:
+        _check_limits(lattice, ORDER_LIMIT, RANK_LIMIT, raisable=False)
+        return cohomology(lattice, 2)
+    if result.degree != 2:
+        raise IncompatibleModulesError("expected a degree-2 presentation")
+    if result.coefficients != lattice:
         raise IncompatibleModulesError("presentation belongs to a different lattice")
     return result
 
@@ -357,10 +360,8 @@ def induced_h2_map(fmap: GLatticeMap,
     The dimension shift is natural in the lattice, so the map acts on
     the 1-cochains of the presentations block by block.
     """
-    r1 = (_checked_result(fmap.source, source_result, 2)
-          if source_result is not None else cohomology(fmap.source, 2))
-    r2 = (_checked_result(fmap.target, target_result, 2)
-          if target_result is not None else cohomology(fmap.target, 2))
+    r1 = _h2_of(fmap.source, source_result)
+    r2 = _h2_of(fmap.target, target_result)
     fz = _apply_blockwise(fmap, r1.cocycles.to_array(), fmap.source.group.order)
     w = _coords_in_basis(r2.cocycles.to_array(), fz)
     return InducedCohomologyMap(source=r1, target=r2, matrix=IntMatrix.from_array(w))
@@ -383,8 +384,7 @@ def kernel_of_h2_map(fmap: GLatticeMap,
     (`_shifted_basis`), y[i] = 0 mod n wherever orders[i] > 1.  No
     presentation of the target cohomology is built.
     """
-    r1 = (_checked_result(fmap.source, source_result, 2)
-          if source_result is not None else cohomology(fmap.source, 2))
+    r1 = _h2_of(fmap.source, source_result)
     _check_limits(fmap.target, ORDER_LIMIT, RANK_LIMIT, raisable=False)
     order = fmap.source.group.order
     _, w, _, orders = _shifted_basis(fmap.target)
@@ -400,10 +400,10 @@ def kernel_of_h2_map_via_presentations(
         induced: InducedCohomologyMap | None = None) -> FinAbGroup:
     """Kernel of the induced H^2 map, computed from the presentations.
 
-    The second, independent route: take the matrix between the two
-    retained presentations and quotient its preimage of the target
-    boundary span by the source boundary span.  Used to cross-check
-    `kernel_of_h2_map`.
+    Take the matrix between the two retained presentations and quotient
+    its preimage of the target boundary span by the source boundary span.
+    It shares the target's Smith form with `kernel_of_h2_map`, so it
+    checks the membership test, not the dimension shift itself.
     """
     if induced is None:
         induced = induced_h2_map(fmap)

@@ -430,3 +430,15 @@ def test_resource_limit_message_names_size_and_flag():
     with pytest.raises(ResourceLimitError) as info:
         kernel_of_h2_map(f)
     assert "68x34" in str(info.value) and "raise" not in str(info.value)
+    # nor has its source when the kernel computes it, as brauer_kernel does
+    for compute in (kernel_of_h2_map, kernel_of_h2_map_via_presentations):
+        with pytest.raises(ResourceLimitError) as info:
+            compute(GLatticeMap(source=big, target=big, matrix=IntMatrix.identity(17)))
+        assert "68x34" in str(info.value) and "raise" not in str(info.value)
+    rays = [tuple(int(i == j) for j in range(17)) for i in range(17)]
+    fan = GFan(rank=17, rays=tuple(rays), cones=tuple([()] + [(i,) for i in range(17)]),
+               action=trivial_lattice(trivial_group(), 17))
+    with pytest.raises(ResourceLimitError) as info:
+        brauer_kernel(fan.require_valid())
+    assert "rank 17 exceeds the limit 16" in str(info.value)
+    assert "raise" not in str(info.value)
