@@ -284,7 +284,9 @@ def main(argv=None) -> int:
         return 1
     except Exception as exc:  # a bug, still reported without a traceback
         detail = " ".join(str(exc).split())
-        print(f"torika: internal error: {type(exc).__name__}: {detail}",
+        stage = getattr(exc, "torika_stage", None)
+        where = f" in {stage}" if stage else ""
+        print(f"torika: internal error{where}: {type(exc).__name__}: {detail}",
               file=sys.stderr)
         return 1
 

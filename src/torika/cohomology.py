@@ -123,15 +123,19 @@ def permutation_lattice(group: FiniteGroup, perms) -> GLattice:
     return GLattice(group, k, tuple(mats))
 
 
-def permutation_module(group: FiniteGroup, subgroup: Subgroup) -> GLattice:
-    """Z[G/H]: the free module on the left cosets of H, permuted by G."""
+def coset_permutations(group: FiniteGroup, subgroup: Subgroup):
+    """For each element g, the index of g*c for every left coset c of H."""
     if subgroup.parent != group:
         raise IncompatibleModulesError("subgroup belongs to a different group")
     cosets = subgroup.left_cosets()
     where = {x: idx for idx, coset in enumerate(cosets) for x in coset}
-    return permutation_lattice(group, [
-        tuple(where[group.mul(g, coset[0])] for coset in cosets)
-        for g in group.elements()])
+    return [tuple(where[group.mul(g, coset[0])] for coset in cosets)
+            for g in group.elements()]
+
+
+def permutation_module(group: FiniteGroup, subgroup: Subgroup) -> GLattice:
+    """Z[G/H]: the free module on the left cosets of H, permuted by G."""
+    return permutation_lattice(group, coset_permutations(group, subgroup))
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,8 @@ from itertools import combinations, product
 
 from .cohomology import GLattice, trivial_lattice
 from .errors import FanValidationError, NotInFanError
-from .groups import FiniteGroup, Subgroup
-from .linalg import IntMatrix, _content, _kernel_array, _rank
-from .groups import trivial_group
+from .groups import FiniteGroup, Subgroup, trivial_group
+from .linalg import _content, _kernel_array, _rank, _smith
 
 import numpy as np
 
@@ -228,6 +227,12 @@ def _solve_nonneg_rational(generators, point):
     k = len(generators)
     if k == 0:
         return () if not any(point) else None
+    if k == 1:  # a ray: one division
+        gen = generators[0]
+        i = next((i for i, x in enumerate(gen) if x), None)
+        c = None if i is None else Fraction(point[i], gen[i])
+        ok = c is not None and c >= 0 and all(c * x == y for x, y in zip(gen, point))
+        return (c,) if ok else None
     n = len(point)
     rows = [[Fraction(generators[j][i]) for j in range(k)] + [Fraction(point[i])]
             for i in range(n)]
@@ -265,8 +270,9 @@ def cone_contains_point(fan: GFan, cone, point) -> bool:
 def _extreme_directions(b):
     """Extreme rays of {t : b @ t >= 0} for a full-column-rank integer b.
 
-    Brute force over (q-1)-subsets of the constraints; fine for the tiny
-    systems produced by pairwise cone checks.
+    Brute force over (q-1)-subsets of the constraints.  The pair test
+    calls it on the reduced system of _meet_in_common_face, with one row
+    per ray outside the shared ones, so the subsets stay few.
     """
     m, q = b.shape
     if q == 0:
@@ -282,42 +288,35 @@ def _extreme_directions(b):
         g = _content(d)
         if g:
             d = [x // g for x in d]
-        for cand in (d, [-x for x in d]):
-            img = [sum(b[i, j] * cand[j] for j in range(q)) for i in range(m)]
-            if all(x >= 0 for x in img) and any(img):
-                key = tuple(cand)
-                if key not in seen:
-                    seen.add(key)
-                    out.append((cand, img))
+        img = b.dot(np.array(d, dtype=object)).tolist()
+        if all(x <= 0 for x in img):  # only -d can then meet b @ t >= 0
+            d, img = [-x for x in d], [-x for x in img]
+        if all(x >= 0 for x in img) and any(img) and tuple(d) not in seen:
+            seen.add(tuple(d))
+            out.append((d, img))
     return out
 
 
 def _meet_in_common_face(fan: GFan, c1: Cone, c2: Cone) -> bool:
-    """Whether two simplicial cones intersect exactly in their common face."""
+    """Whether two simplicial cones intersect exactly in their common face.
+
+    Write V = [V' | C] and W = [W' | C], C the shared rays.  V and W are
+    each independent, so a point V a = W b lies in the common face iff
+    a' = 0 and b' = 0, and the shared coefficients drop out, as any gamma
+    is alpha - beta with alpha, beta >= 0.  So the pair is good iff no
+    nonzero (a', b') >= 0 has V' a' - W' b' in span C.  Those (a', b') are
+    B' t, B' the V' and W' rows of the kernel of [V' | -W' | C], of full
+    column rank as C is independent: good iff B' t >= 0 has no extreme ray.
+    """
     s1, s2 = set(c1.rays), set(c2.rays)
     if s1 <= s2 or s2 <= s1:
         return True
-    common = sorted(s1 & s2)
-    v1 = [fan.rays[i].generator for i in c1.rays]
-    v2 = [fan.rays[i].generator for i in c2.rays]
-    k1, k2 = len(v1), len(v2)
-    system = np.empty((fan.rank, k1 + k2), dtype=object)
-    for j, vec in enumerate(v1):
-        for i in range(fan.rank):
-            system[i, j] = vec[i]
-    for j, vec in enumerate(v2):
-        for i in range(fan.rank):
-            system[i, k1 + j] = -vec[i]
+    own1 = [fan.rays[i].generator for i in c1.rays if i not in s2]
+    own2 = [tuple(-x for x in fan.rays[i].generator) for i in c2.rays if i not in s1]
+    common = [fan.rays[i].generator for i in c1.rays if i in s2]
+    system = np.array(own1 + own2 + common, dtype=object).reshape(-1, fan.rank).T
     basis = _kernel_array(system)
-    common_gens = [fan.rays[i].generator for i in common]
-    for _, img in _extreme_directions(basis):
-        coeffs = img[:k1]
-        point = tuple(
-            sum(coeffs[j] * v1[j][i] for j in range(k1)) for i in range(fan.rank)
-        )
-        if _solve_nonneg_rational(common_gens, point) is None:
-            return False
-    return True
+    return not _extreme_directions(basis[:len(own1) + len(own2), :])
 
 
 def validate_fan(fan: GFan) -> ValidationReport:
@@ -426,8 +425,6 @@ def is_smooth_cone(fan: GFan, cone) -> bool:
     cone = _checked_cone(fan, cone)
     if cone.is_zero:
         return True
-    from .linalg import _smith
-
     gens = np.array([fan.rays[i].generator for i in cone.rays], dtype=object)
     s = _smith(gens)[0]
     diag = [s[i, i] for i in range(min(gens.shape))]
@@ -438,7 +435,10 @@ def is_smooth_cone(fan: GFan, cone) -> bool:
 
 def is_smooth(fan: GFan) -> bool:
     fan.require_valid()
-    return all(is_smooth_cone(fan, c) for c in fan.maximal_cones())
+    if "is_smooth" not in fan._cache:
+        fan._cache["is_smooth"] = all(
+            is_smooth_cone(fan, c) for c in fan.maximal_cones())
+    return fan._cache["is_smooth"]
 
 
 def orbit_count(fan: GFan) -> int:

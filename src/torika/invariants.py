@@ -71,10 +71,15 @@ class InvariantReport:
 
 
 def _stage(name, thunk):
+    """Run a report stage; a bug leaves it tagged with `torika_stage`."""
     try:
         return thunk()
     except TorikaError as exc:
         raise StageError(name, exc) from exc
+    except Exception as exc:
+        if not hasattr(exc, "torika_stage"):
+            exc.torika_stage = name
+        raise
 
 
 def full_report(fan: GFan, bound: int = 5) -> InvariantReport:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import (GLattice, GLatticeMap, permutation_lattice,
-                         permutation_module, trivial_lattice)
+from .cohomology import (GLattice, GLatticeMap, coset_permutations,
+                         permutation_lattice)
 from .errors import (IncompatibleModulesError, MalformedSubgroupError,
                      NotDescendableError)
 from .fans import (GFan, _checked_cone, cone_contains_point,
@@ -148,9 +148,13 @@ def standard_fan(group: FiniteGroup, stabilizers) -> GFan:
         if not isinstance(h, Subgroup) or h.parent != group:
             raise MalformedSubgroupError(
                 "stabilizers must be subgroups of the given group")
-    lattice = trivial_lattice(group, 0)
+    # the direct sum of the Z[G/H_i]: one permutation of all the cosets
+    perms = [()] * group.order
     for h in stabilizers:
-        lattice = lattice.direct_sum(permutation_module(group, h))
+        offset = len(perms[0])
+        perms = [perm + tuple(offset + i for i in block)
+                 for perm, block in zip(perms, coset_permutations(group, h))]
+    lattice = permutation_lattice(group, perms)
     rank = lattice.rank
     rays = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     cones = [()] + [(i,) for i in range(rank)]
@@ -245,21 +249,22 @@ def tropical_int_check(fan: GFan, bound: int) -> TropicalCheckResult:
 
     With (V, rho) the standard fan and comparison map of the fan, checks
     that every lattice point of the fan's support with max-norm <= bound
-    is rho of a support point of V, and nothing more is hit.  The search
-    bound upstairs is scaled by the largest ray coefficient so that
-    every candidate preimage is inside it.
+    is rho of a support point of V, and nothing more is hit.  The support
+    points of V are the origin and the multiples c*e_j, and rho(c*e_j)
+    = c*column_j has max-norm <= bound exactly for c <= bound //
+    max|column_j| (no column is zero), so the image is listed column by
+    column.
     """
     fan.require_valid()
     if not is_pure_divisorial(fan):
         raise ValueError("the support comparison needs a pure divisorial fan")
     rho = rho_map(fan)
-    scale = max(fan.max_ray_norm(), 1)
     downstairs = set(pure_divisorial_support(fan, bound))
-    image = set()
-    for point in pure_divisorial_support(rho.source, bound * scale):
-        hit = rho.apply(point)
-        if all(abs(x) <= bound for x in hit):
-            image.add(hit)
+    image = {tuple([0] * fan.rank)}
+    for j in range(rho.matrix.cols):
+        column = rho.matrix.column(j)
+        top = bound // max(abs(x) for x in column)
+        image.update(tuple(c * x for x in column) for c in range(1, top + 1))
     uncovered = tuple(sorted(downstairs - image))
     unexpected = tuple(sorted(image - downstairs))
     return TropicalCheckResult(passed=not uncovered and not unexpected,

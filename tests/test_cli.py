@@ -162,9 +162,10 @@ def test_json_output_is_deterministic(capsys):
 
 @pytest.mark.parametrize("error, line", [
     (AssertionError("unit rank plus divisor rank\nmust equal the fan rank"),
-     "torika: internal error: AssertionError: unit rank plus divisor rank "
-     "must equal the fan rank"),
-    (KeyError("ray_perms"), "torika: internal error: KeyError: 'ray_perms'"),
+     "torika: internal error in ray orbits: AssertionError: unit rank plus "
+     "divisor rank must equal the fan rank"),
+    (KeyError("ray_perms"),
+     "torika: internal error in ray orbits: KeyError: 'ray_perms'"),
 ])
 def test_internal_error_is_one_line(capsys, monkeypatch, error, line):
     def broken(fan):
@@ -175,3 +176,13 @@ def test_internal_error_is_one_line(capsys, monkeypatch, error, line):
     assert code == 1
     assert out == ""
     assert err.splitlines() == [line]
+
+
+def test_internal_error_before_any_stage_names_none(capsys, monkeypatch):
+    def broken(fan):
+        raise KeyError("pure")
+
+    monkeypatch.setattr("torika.invariants.is_pure_divisorial", broken)
+    code, out, err = run(capsys, "report", fixture_path("p2"))
+    assert code == 1
+    assert err.splitlines() == ["torika: internal error: KeyError: 'pure'"]

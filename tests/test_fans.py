@@ -5,21 +5,23 @@ orbit-cone correspondence and by direct enumeration of small boxes.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from torika.cohomology import GLattice
 from torika.datum import load_datum
 from torika.errors import DatumError, FanValidationError, NotInFanError
-from torika.fans import (Cone, GFan, _action_problems, _independent,
-                         _layout_problems, _meet_in_common_face,
+from torika.fans import (Cone, GFan, _action_problems, _extreme_directions,
+                         _independent, _layout_problems,
+                         _meet_in_common_face, _solve_nonneg_rational,
                          cone_contains_point, is_smooth, is_smooth_cone,
                          orbit_count, orbit_dimension, primitive_vector,
                          ray_orbits, support_lattice_points, validate_fan)
 from torika.groups import cyclic_group, symmetric_group_3
-from torika.linalg import IntMatrix
+from torika.linalg import IntMatrix, _kernel_array
 
 from conftest import (FIXTURE_DIR, load_fixture, rand_unimodular,
                       random_smooth_fan)
@@ -232,11 +234,37 @@ def test_support_points_lie_in_support():
                        for c in fan.maximal_cones())
 
 
+def full_system_meet(fan, c1, c2):
+    """Oracle for _meet_in_common_face: the full system [V | -W].
+
+    Every extreme point V a = W b of the intersection of the two cones
+    is solved against the common face, with no reduction modulo the
+    shared rays.  It shares _extreme_directions with the program; the
+    lattice-witness test below does without it.
+    """
+    s1, s2 = set(c1.rays), set(c2.rays)
+    if s1 <= s2 or s2 <= s1:
+        return True
+    v1 = [fan.rays[i].generator for i in c1.rays]
+    v2 = [fan.rays[i].generator for i in c2.rays]
+    k1 = len(v1)
+    system = np.array(v1 + [tuple(-x for x in v) for v in v2],
+                      dtype=object).reshape(-1, fan.rank).T
+    common_gens = [fan.rays[i].generator for i in sorted(s1 & s2)]
+    for _, img in _extreme_directions(_kernel_array(system)):
+        point = tuple(sum(img[j] * v1[j][i] for j in range(k1))
+                      for i in range(fan.rank))
+        if _solve_nonneg_rational(common_gens, point) is None:
+            return False
+    return True
+
+
 def all_pairs_problems(fan):
     """Oracle: validate_fan's problem list from the all-pairs check.
 
     Every pair of nonzero cones with independent generators is tested,
-    faces included, where validate_fan tests maximal cones only.
+    faces included, where validate_fan tests maximal cones only, and
+    each pair goes through the full-system test, not the production one.
     """
     problems = _layout_problems(fan)
     if problems:
@@ -249,7 +277,7 @@ def all_pairs_problems(fan):
             good.append(c)
     for a in range(len(good)):
         for b in range(a + 1, len(good)):
-            if not _meet_in_common_face(fan, good[a], good[b]):
+            if not full_system_meet(fan, good[a], good[b]):
                 problems.append(
                     f"cones {good[a].rays} and {good[b].rays} do not intersect "
                     f"in their common face"
@@ -323,3 +351,95 @@ def test_problem_lists_match_all_pairs_oracle_on_files():
         assert validate_fan(fan).problems == all_pairs_problems(fan), path.name
         compared += 1
     assert compared == 22
+
+
+def data_file_fans():
+    """The loadable data and fixture files, validated or not."""
+    data = Path(__file__).resolve().parent / "data"
+    fans = []
+    for path in sorted(data.glob("*.json")) + sorted(FIXTURE_DIR.glob("*.json")):
+        try:
+            fans.append(load_datum(str(path), require_valid=False).fan)
+        except DatumError:
+            continue
+    return fans
+
+
+def random_cone_pair_fan(rng):
+    """Two cones on small random rays in rank 2 or 3, possibly overlapping.
+
+    Only the pair predicate's precondition holds: both cones have
+    independent generators.  The rest of the fan may be invalid.
+    """
+    while True:
+        rank = rng.choice((2, 3))
+        rays = []
+        while len(rays) < 2 * rank:
+            ray = primitive_vector([rng.randint(-2, 2) for _ in range(rank)])
+            if any(ray) and ray not in rays:
+                rays.append(ray)
+        shared = rng.randint(0, rank - 1)
+        picks = rng.sample(range(len(rays)), 2 * rank - shared)
+        c1 = Cone(picks[:rng.randint(max(shared, 1), rank)])
+        c2 = Cone(picks[:shared] + picks[rank:][:rng.randint(1, rank - shared)])
+        fan = GFan.from_max_cones(rank, rays, [c1.rays, c2.rays])
+        if _independent(fan, c1) and _independent(fan, c2):
+            return fan, c1, c2
+
+
+def independent_maximal_pairs(fan):
+    if _layout_problems(fan):
+        return []
+    good = [c for c in fan.maximal_cones() if c.rays and _independent(fan, c)]
+    return list(combinations(good, 2))
+
+
+def test_pair_predicate_matches_full_system():
+    rng = random.Random(8080)
+    fans = [product_fan(rng, 3) for _ in range(3)]
+    fans += [product_fan(rng, 4) for _ in range(2)]
+    fans += [broken_fan(rng) for _ in range(40)]
+    fans += data_file_fans()
+    cases = [(fan, a, b) for fan in fans for a, b in independent_maximal_pairs(fan)]
+    cases += [random_cone_pair_fan(rng) for _ in range(300)]
+    verdicts = []
+    for fan, a, b in cases:
+        verdict = _meet_in_common_face(fan, a, b)
+        assert verdict == full_system_meet(fan, a, b), (fan.rays, a, b)
+        verdicts.append(verdict)
+    assert verdicts.count(False) >= 60 and verdicts.count(True) >= 200
+
+
+def test_pair_predicate_rejects_lattice_witnesses():
+    """A box point in both cones but off their common face means False."""
+    rng = random.Random(9090)
+    witnessed = 0
+    for _ in range(200):
+        fan, a, b = random_cone_pair_fan(rng)
+        common = Cone(tuple(set(a.rays) & set(b.rays)))
+        for point in product(range(-2, 3), repeat=fan.rank):
+            if (cone_contains_point(fan, a, point)
+                    and cone_contains_point(fan, b, point)
+                    and not cone_contains_point(fan, common, point)):
+                assert not _meet_in_common_face(fan, a, b), (fan.rays, a, b, point)
+                witnessed += 1
+                break
+    assert witnessed >= 30
+
+
+def test_is_smooth_is_computed_once(monkeypatch):
+    from torika import fans as fans_module
+    from torika.invariants import full_report
+
+    calls = []
+    original = fans_module.is_smooth_cone
+
+    def counting(fan, cone):
+        calls.append(cone)
+        return original(fan, cone)
+
+    monkeypatch.setattr(fans_module, "is_smooth_cone", counting)
+    fan = load_fixture("standard_s3").fan
+    full_report(fan)
+    assert len(calls) == len(fan.maximal_cones())
+    assert is_smooth(fan) and len(calls) == len(fan.maximal_cones())

@@ -1,23 +1,26 @@
 """Truncation, affine structure, standard fans, rho and the divisor map."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
-from torika.cohomology import GLattice
+from torika.cohomology import (GLattice, permutation_module,
+                               trivial_lattice)
 from torika.errors import (IncompatibleModulesError, MalformedSubgroupError,
                            NotDescendableError)
 from torika.fans import GFan, orbit_count
-from torika.groups import (Subgroup, cyclic_group, symmetric_group_3,
-                           trivial_group)
+from torika.groups import (GROUP_PRESETS, Subgroup, cyclic_group,
+                           symmetric_group_3, trivial_group)
 from torika.linalg import IntMatrix
 from torika.structure import (AffineStructure, FanMorphism, affine_structure,
                               character_lattice, divisor_map,
                               is_pure_divisorial, pure_divisorial_truncation,
+                              pure_divisorial_support,
                               ray_permutation_lattice, rho_map, standard_fan,
-                              tropical_int_check)
+                              TropicalCheckResult, tropical_int_check)
 
-from conftest import (PURE_DIVISORIAL_FIXTURES, load_fixture,
+from conftest import (FIXTURE_NAMES, PURE_DIVISORIAL_FIXTURES, load_fixture,
                       random_smooth_fan)
 
 C2 = cyclic_group(2)
@@ -251,3 +254,43 @@ def test_tropical_check_random_truncations():
         fan = random_smooth_fan(rng)
         t = pure_divisorial_truncation(fan)
         assert tropical_int_check(t, 3).passed
+
+
+def test_standard_fan_is_the_chained_direct_sum():
+    for name, maker in sorted(GROUP_PRESETS.items()):
+        group = maker()
+        subgroups = group.cyclic_subgroups() + [group.full_subgroup()]
+        for count in range(4):
+            for stabs in combinations_with_replacement(subgroups, count):
+                chained = trivial_lattice(group, 0)
+                for h in stabs:
+                    chained = chained.direct_sum(permutation_module(group, h))
+                assert standard_fan(group, stabs).action == chained, (name, stabs)
+
+
+def per_point_tropical_check(fan, bound):
+    """The support comparison mapping every upstairs point through rho."""
+    rho = rho_map(fan)
+    scale = max(fan.max_ray_norm(), 1)
+    downstairs = set(pure_divisorial_support(fan, bound))
+    image = set()
+    for point in pure_divisorial_support(rho.source, bound * scale):
+        hit = rho.apply(point)
+        if all(abs(x) <= bound for x in hit):
+            image.add(hit)
+    uncovered = tuple(sorted(downstairs - image))
+    unexpected = tuple(sorted(image - downstairs))
+    return TropicalCheckResult(passed=not uncovered and not unexpected,
+                               uncovered=uncovered, unexpected=unexpected)
+
+
+def test_tropical_check_matches_per_point_route():
+    rng = random.Random(4711)
+    fans = [load_fixture(name).fan for name in FIXTURE_NAMES]
+    fans += [random_smooth_fan(rng) for _ in range(6)]
+    for fan in fans:
+        if not is_pure_divisorial(fan):
+            fan = pure_divisorial_truncation(fan)
+        for bound in range(7):
+            assert (tropical_int_check(fan, bound)
+                    == per_point_tropical_check(fan, bound)), (fan, bound)
