@@ -34,7 +34,6 @@ from .linalg import (
     _matmul,
     _nonredundant_rows,
     _smith,
-    _unimodular_inverse,
 )
 
 # Size guards.  The largest matrix any degree builds is d^1, of shape
@@ -73,7 +72,7 @@ class GLattice:
         e = self.group.identity
         if mats[e] != IntMatrix.identity(self.rank):
             raise ValueError("identity element must act as the identity matrix")
-        acts = np.stack([m.to_array() for m in mats])
+        acts = np.stack([m.array for m in mats])
         products = np.matmul(acts[:, None], acts[None, :])
         wrong = np.argwhere((products != acts[np.array(self.group.table)]).any(axis=(2, 3)))
         if len(wrong):
@@ -83,27 +82,26 @@ class GLattice:
         return self.action[g]
 
     def action_arrays(self):
-        return [m.to_array() for m in self.action]
+        """The action matrices as read-only object arrays."""
+        return [m.array for m in self.action]
 
     def dual(self) -> "GLattice":
-        """The dual lattice Hom(L, Z) with the contragredient action."""
-        mats = []
-        for m in self.action:
-            inv = _unimodular_inverse(m.to_array())
-            mats.append(IntMatrix.from_array(inv.T))
-        return GLattice(self.group, self.rank, tuple(mats))
+        """The dual lattice Hom(L, Z) with the contragredient action.
+
+        g acts by the inverse transpose of its matrix, and the inverse of
+        the matrix of g is the matrix of g^-1.
+        """
+        return GLattice(self.group, self.rank, tuple(
+            self.action[self.group.inv(g)].transpose()
+            for g in self.group.elements()))
 
     def direct_sum(self, other: "GLattice") -> "GLattice":
         if self.group != other.group:
             raise IncompatibleModulesError("direct sum needs a common group")
-        r1, r2 = self.rank, other.rank
-        mats = []
-        for g in self.group.elements():
-            a, b = self.action[g], other.action[g]
-            rows = [list(a.row(i)) + [0] * r2 for i in range(r1)]
-            rows += [[0] * r1 + list(b.row(i)) for i in range(r2)]
-            mats.append(IntMatrix(rows, cols=r1 + r2))
-        return GLattice(self.group, r1 + r2, tuple(mats))
+        zero = np.zeros((self.rank, other.rank), dtype=object)
+        return GLattice(self.group, self.rank + other.rank, tuple(
+            IntMatrix.from_array(np.block([[a.array, zero], [zero.T, b.array]]))
+            for a, b in zip(self.action, other.action)))
 
 
 def trivial_lattice(group: FiniteGroup, rank: int) -> GLattice:
@@ -324,7 +322,7 @@ def _apply_blockwise(fmap: GLatticeMap, vectors, blocks):
     r_s = fmap.source.rank
     r_t = fmap.target.rank
     cols = vectors.shape[1]
-    fmat = fmap.matrix.to_array()
+    fmat = fmap.matrix.array
     out = np.zeros((blocks * r_t, cols), dtype=object)
     for b in range(blocks):
         out[b * r_t:(b + 1) * r_t, :] = _matmul(fmat, vectors[b * r_s:(b + 1) * r_s, :])
@@ -366,8 +364,8 @@ def induced_h2_map(fmap: GLatticeMap,
     """
     r1 = _h2_of(fmap.source, source_result)
     r2 = _h2_of(fmap.target, target_result)
-    fz = _apply_blockwise(fmap, r1.cocycles.to_array(), fmap.source.group.order)
-    w = _coords_in_basis(r2.cocycles.to_array(), fz)
+    fz = _apply_blockwise(fmap, r1.cocycles.array, fmap.source.group.order)
+    w = _coords_in_basis(r2.cocycles.array, fz)
     return InducedCohomologyMap(source=r1, target=r2, matrix=IntMatrix.from_array(w))
 
 
@@ -393,10 +391,10 @@ def kernel_of_h2_map(fmap: GLatticeMap,
     order = fmap.source.group.order
     _, w, _, orders = _shifted_basis(fmap.target)
     tested = [i for i, d in enumerate(orders) if d > 1]
-    fz = _apply_blockwise(fmap, r1.cocycles.to_array(), order)
+    fz = _apply_blockwise(fmap, r1.cocycles.array, order)
     return _preimage_quotient(_matmul(w[tested, :], fz),
                               order * _eye(len(tested)),
-                              r1.boundaries.to_array())
+                              r1.boundaries.array)
 
 
 def kernel_of_h2_map_via_presentations(
@@ -411,6 +409,6 @@ def kernel_of_h2_map_via_presentations(
     """
     if induced is None:
         induced = induced_h2_map(fmap)
-    return _preimage_quotient(induced.matrix.to_array(),
-                              induced.target.boundaries.to_array(),
-                              induced.source.boundaries.to_array())
+    return _preimage_quotient(induced.matrix.array,
+                              induced.target.boundaries.array,
+                              induced.source.boundaries.array)

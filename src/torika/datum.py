@@ -199,6 +199,11 @@ def _build_datum(doc, *, normalize_rays=False, where="<data>") -> ToricDatum:
                  f"{where}: max_cones entry {i} must be a list of ray indices")
         for x in cone:
             _as_int(x, f"max_cones entry {i} index")
+        # refused before from_max_cones builds all 2^k faces of the cone
+        k = len(set(cone))
+        _require(k <= rank,
+                 f"{where}: max_cones entry {i} lists {k} rays, more than "
+                 f"lattice_rank {rank}, so its generators are linearly dependent")
     fan = GFan.from_max_cones(rank, rays, cones, action=action)
     return ToricDatum(name=name, group_spec=doc["group"], fan=fan)
 

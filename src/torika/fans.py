@@ -2,7 +2,7 @@
 
 A fan is stored combinatorially: primitive ray generators plus the list
 of cones as sets of ray indices.  All geometry (memberships, cone
-intersections) is decided exactly over the rationals, never with
+intersections) is decided exactly from integer kernels, never with
 floating point.  Validation returns a report listing every violated
 condition instead of stopping at the first one, so malformed input can
 be diagnosed in full.
@@ -11,7 +11,6 @@ be diagnosed in full.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import wraps
 from itertools import combinations, product
 
@@ -218,53 +217,26 @@ class ValidationReport:
         return "\n".join(self.problems)
 
 
-def _solve_nonneg_rational(generators, point):
-    """Coefficients c >= 0 with sum c_i * generators[i] == point, or None.
+def _in_cone(generators, point) -> bool:
+    """Whether point is a nonnegative combination of the generators.
 
-    The generators must be linearly independent, so the coefficients are
-    unique; everything is solved exactly over the rationals.
+    The generators must be linearly independent, so the kernel of
+    [V | -p] is at most a line; p is in the cone iff that line has a
+    vector (c, t) with t != 0 and every c_i * t >= 0, as then p = V c / t.
     """
-    k = len(generators)
-    if k == 0:
-        return () if not any(point) else None
-    if k == 1:  # a ray: one division
-        gen = generators[0]
-        i = next((i for i, x in enumerate(gen) if x), None)
-        c = None if i is None else Fraction(point[i], gen[i])
-        ok = c is not None and c >= 0 and all(c * x == y for x, y in zip(gen, point))
-        return (c,) if ok else None
-    n = len(point)
-    rows = [[Fraction(generators[j][i]) for j in range(k)] + [Fraction(point[i])]
-            for i in range(n)]
-    pivot_row = {}
-    top = 0
-    for col in range(k):
-        src = next((r for r in range(top, n) if rows[r][col]), None)
-        if src is None:
-            return None  # dependent generators; callers prevalidate
-        rows[top], rows[src] = rows[src], rows[top]
-        inv = 1 / rows[top][col]
-        rows[top] = [x * inv for x in rows[top]]
-        for r in range(n):
-            if r != top and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[top])]
-        pivot_row[col] = top
-        top += 1
-    for r in range(top, n):
-        if rows[r][k]:
-            return None  # point outside the span
-    coeffs = tuple(rows[pivot_row[c]][k] for c in range(k))
-    if any(c < 0 for c in coeffs):
-        return None
-    return coeffs
+    system = np.array(list(generators) + [tuple(-x for x in point)],
+                      dtype=object).reshape(len(generators) + 1, len(point)).T
+    kernel = _kernel_array(system)
+    if not kernel.shape[1]:
+        return False
+    *c, t = kernel[:, 0].tolist()
+    return t != 0 and all(x * t >= 0 for x in c)
 
 
 def cone_contains_point(fan: GFan, cone, point) -> bool:
     """Exact membership of an integer point in a cone of the fan."""
     cone = _as_cone(cone)
-    gens = [fan.rays[i].generator for i in cone.rays]
-    return _solve_nonneg_rational(gens, tuple(point)) is not None
+    return _in_cone([fan.rays[i].generator for i in cone.rays], tuple(point))
 
 
 def _extreme_directions(b):
@@ -466,22 +438,17 @@ def ray_orbits(fan: GFan):
 def support_lattice_points(fan: GFan, bound: int):
     """All integer points of the fan's support with max-norm at most bound.
 
-    Membership is decided cone by cone with exact rational arithmetic.
+    Membership is decided cone by cone from the integer kernel of
+    [V | -p] (`_in_cone`).
     """
     fan.require_valid()
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    solvers = []
-    for cone in fan.maximal_cones():
-        gens = [fan.rays[i].generator for i in cone.rays]
-        solvers.append(gens)
-    points = []
-    for point in product(range(-bound, bound + 1), repeat=fan.rank):
-        for gens in solvers:
-            if _solve_nonneg_rational(gens, point) is not None:
-                points.append(point)
-                break
-    return tuple(sorted(points))
+    cones = [[fan.rays[i].generator for i in cone.rays]
+             for cone in fan.maximal_cones()]
+    return tuple(sorted(
+        point for point in product(range(-bound, bound + 1), repeat=fan.rank)
+        if any(_in_cone(gens, point) for gens in cones)))
 
 
 def primitive_vector(vec):

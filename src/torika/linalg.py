@@ -2,9 +2,12 @@
 
 All arithmetic is done with Python's arbitrary-precision integers; numpy
 arrays with dtype=object serve purely as containers, so fixed-width
-overflow cannot occur.  Normal-form routines pick the smallest available
-pivot, which keeps intermediate entries modest on the structured matrices
-produced elsewhere in the package.
+overflow cannot occur.  The public IntMatrix wraps one such array,
+read-only, so the routines here take and return it without conversion.
+Normal-form routines pick the smallest available pivot, which keeps
+intermediate entries modest on the structured matrices produced
+elsewhere in the package.  Every exact solve goes through one Smith
+form (`_solve`).
 """
 
 from __future__ import annotations
@@ -39,93 +42,101 @@ def _xgcd(a, b):
 class IntMatrix:
     """Immutable integer matrix with exact entries.
 
-    Entries are stored row-major as Python ints.  The shape is kept
-    explicitly so that matrices with zero rows or zero columns are legal
-    and behave like any other matrix.
+    The entries are Python ints in one read-only object array, the same
+    container every routine of this module works on: `array` lends it
+    out as it is and `to_array` returns a writable copy.  Matrices with
+    zero rows or zero columns are legal and behave like any other matrix.
     """
 
-    __slots__ = ("_data", "_cols")
+    __slots__ = ("_a",)
 
     def __init__(self, rows, cols=None):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = [list(map(int, row)) for row in rows]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
                 raise ValueError("rows have unequal lengths")
             if cols is not None and cols != width:
                 raise ValueError("explicit column count contradicts row data")
+            a = np.array(data, dtype=object)
         else:
-            width = 0 if cols is None else int(cols)
-        self._data = data
-        self._cols = width
+            a = np.empty((0, 0 if cols is None else int(cols)), dtype=object)
+        a.flags.writeable = False
+        self._a = a
+
+    @classmethod
+    def _adopt(cls, a):
+        """Wrap an object array of Python ints that nothing will write to."""
+        a.flags.writeable = False
+        m = object.__new__(cls)
+        m._a = a
+        return m
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._adopt(_eye(n))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._adopt(np.zeros((rows, cols), dtype=object))
 
     @classmethod
     def from_columns(cls, columns, rows=None):
-        cols = tuple(tuple(int(x) for x in c) for c in columns)
+        cols = [list(map(int, c)) for c in columns]
         if cols:
-            height = len(cols[0])
-            if any(len(c) != height for c in cols):
+            if any(len(c) != len(cols[0]) for c in cols):
                 raise ValueError("columns have unequal lengths")
-        else:
-            if rows is None:
-                raise ValueError("empty column list needs an explicit row count")
-            height = rows
-        return cls([[c[i] for c in cols] for i in range(height)], cols=len(cols))
+            return cls(cols).transpose()
+        if rows is None:
+            raise ValueError("empty column list needs an explicit row count")
+        return cls.zeros(rows, 0)
 
     @classmethod
     def from_array(cls, a):
         if not hasattr(a, "shape"):
             return cls(a)
-        r, c = a.shape
-        return cls([[int(a[i, j]) for j in range(c)] for i in range(r)], cols=c)
+        return cls(a.tolist(), cols=a.shape[1])
+
+    @property
+    def array(self):
+        """The entries as a read-only object array; no copy is made."""
+        return self._a
 
     def to_array(self):
-        a = np.empty((self.rows, self.cols), dtype=object)
-        for i, row in enumerate(self._data):
-            for j, x in enumerate(row):
-                a[i, j] = x
-        return a
+        return self._a.copy()
 
     @property
     def rows(self):
-        return len(self._data)
+        return self._a.shape[0]
 
     @property
     def cols(self):
-        return self._cols
+        return self._a.shape[1]
 
     @property
     def shape(self):
-        return (self.rows, self._cols)
+        return self._a.shape
 
     @property
     def entries(self):
         """All entries, row-major."""
-        return tuple(x for row in self._data for x in row)
+        return tuple(self._a.ravel().tolist())
 
     def row(self, i):
-        return self._data[i]
+        return tuple(self._a[i].tolist())
 
     def column(self, j):
-        return tuple(row[j] for row in self._data)
+        return tuple(self._a[:, j].tolist())
 
     def __getitem__(self, key):
         i, j = key
-        return self._data[i][j]
+        return self._a[i, j]
 
     def to_rows(self):
-        return [list(row) for row in self._data]
+        return self._a.tolist()
 
     def transpose(self):
-        return IntMatrix.from_columns(self._data, rows=self._cols)
+        return IntMatrix._adopt(self._a.T)
 
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
@@ -134,28 +145,21 @@ class IntMatrix:
             raise ValueError(
                 f"shape mismatch: {self.shape} @ {other.shape}"
             )
-        out = [[sum(a * b for a, b in zip(row, col)) for col in zip(*other._data)]
-               for row in self._data]
-        if not out or self.cols == 0:
-            return IntMatrix.zeros(self.rows, other.cols)
-        return IntMatrix(out, cols=other.cols)
+        return IntMatrix._adopt(_matmul(self._a, other._a))
 
     def apply(self, vector):
         """Matrix times column vector, returned as a tuple."""
-        vec = tuple(int(x) for x in vector)
+        vec = np.array([int(x) for x in vector], dtype=object)
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} against {self.shape}")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._data)
+        return tuple(self._a.dot(vec).tolist())
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch in addition")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-            cols=self._cols,
-        )
+        return IntMatrix._adopt(self._a + other._a)
 
     def __sub__(self, other):
         if not isinstance(other, IntMatrix):
@@ -163,17 +167,17 @@ class IntMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return IntMatrix([[-x for x in row] for row in self._data], cols=self._cols)
+        return IntMatrix._adopt(-self._a)
 
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
-            and self._cols == other._cols
-            and self._data == other._data
+            and self._a.shape == other._a.shape
+            and self._a.tolist() == other._a.tolist()
         )
 
     def __hash__(self):
-        return hash((self._data, self._cols))
+        return hash((self.shape, self.entries))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -393,12 +397,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     Returns SmithDecomposition(u, s, v) satisfying u @ m @ v == s.
     """
-    s, u, v, _ = _smith(m.to_array(), want_u=True, want_v=True)
-    return SmithDecomposition(
-        u=IntMatrix.from_array(u),
-        s=IntMatrix.from_array(s),
-        v=IntMatrix.from_array(v),
-    )
+    s, u, v, _ = _smith(m.array, want_u=True, want_v=True)
+    return SmithDecomposition(u=IntMatrix._adopt(u), s=IntMatrix._adopt(s),
+                              v=IntMatrix._adopt(v))
 
 
 def _nonredundant_rows(a):
@@ -497,8 +498,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     The kernel of an integer matrix is automatically saturated, so the
     returned columns extend to a basis of Z^cols.
     """
-    arr = _kernel_array(m.to_array())
-    return IntMatrix.from_array(arr)
+    return IntMatrix._adopt(_kernel_array(m.array))
 
 
 def _cokernel_array(a) -> FinAbGroup:
@@ -513,30 +513,35 @@ def _cokernel_array(a) -> FinAbGroup:
 
 def cokernel(m: IntMatrix) -> FinAbGroup:
     """Z^rows modulo the column span of m, in invariant-factor form."""
-    return _cokernel_array(m.to_array())
+    return _cokernel_array(m.array)
+
+
+def _solve(a, b):
+    """(rank of a, one integer Y with a @ Y == b, or None when there is none).
+
+    With s = u @ a @ v in Smith form, a @ Y == b reads s @ Z == u @ b for
+    Y = v @ Z: each row of u @ b must be divisible by its diagonal entry
+    of s, and zero past the rank (Cohen, GTM 138, section 2.4).
+    """
+    s, u, v, _ = _smith(a, want_u=True, want_v=True)
+    c = _matmul(u, b)
+    d = s.diagonal()
+    rank = np.count_nonzero(d)
+    d = d[:rank, None]
+    if np.count_nonzero(c[rank:]) or np.count_nonzero(c[:rank] % d):
+        return rank, None
+    z = np.zeros((a.shape[1], b.shape[1]), dtype=object)
+    z[:rank] = c[:rank] // d
+    return rank, _matmul(v, z)
 
 
 def solve_integer(m: IntMatrix, b):
     """One integer solution x of m @ x == b, or None when there is none."""
-    vec = tuple(int(x) for x in b)
+    vec = [int(x) for x in b]
     if len(vec) != m.rows:
         raise ValueError(f"right-hand side of length {len(vec)} against {m.shape}")
-    s, u, v, _ = _smith(m.to_array(), want_u=True, want_v=True)
-    c = [sum(u[i, j] * vec[j] for j in range(m.rows)) for i in range(m.rows)]
-    n = m.cols
-    y = [0] * n
-    for i in range(min(m.rows, n)):
-        d = s[i, i]
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    for i in range(min(m.rows, n), m.rows):
-        if c[i]:
-            return None
-    return tuple(sum(v[i, j] * y[j] for j in range(n)) for i in range(n))
+    _, y = _solve(m.array, np.array(vec, dtype=object).reshape(-1, 1))
+    return None if y is None else tuple(y[:, 0].tolist())
 
 
 def _matmul(a, b):
@@ -550,10 +555,10 @@ def _unimodular_inverse(a):
     m, n = a.shape
     if m != n:
         raise ValueError("only square matrices can be unimodular")
-    s, u, v, _ = _smith(a, want_u=True, want_v=True)
-    if any(s[i, i] != 1 for i in range(n)):
+    _, inv = _solve(a, _eye(n))
+    if inv is None:
         raise ValueError("matrix is not unimodular")
-    return _matmul(v, u)
+    return inv
 
 
 def _coords_in_basis(basis, targets):
@@ -563,27 +568,14 @@ def _coords_in_basis(basis, targets):
     `targets` (m x t) must lie in the integer column lattice of `basis`;
     both conditions are verified.  Returns Y as a (k x t) array.
     """
-    m, k = basis.shape
-    mt, t = targets.shape
-    if m != mt:
+    if basis.shape[0] != targets.shape[0]:
         raise ValueError("basis and targets have different heights")
-    if t == 0:
-        return np.empty((k, 0), dtype=object)
-    if k == 0:
-        if any(targets[i, j] for i in range(m) for j in range(t)):
-            raise ValueError("nonzero target in an empty lattice")
-        return np.empty((0, t), dtype=object)
-    aug = np.concatenate([basis, targets], axis=1)
-    ker = _kernel_array(aug)
-    if ker.shape[1] != t:
-        raise ValueError("targets do not all lie in the span of the basis")
-    top = ker[:k, :]
-    bottom = ker[k:, :]
-    try:
-        inv = _unimodular_inverse(bottom)
-    except ValueError:
-        raise ValueError("a target lies outside the integer column lattice") from None
-    return -_matmul(top, inv)
+    rank, y = _solve(basis, targets)
+    if rank < basis.shape[1]:
+        raise ValueError("the basis columns are linearly dependent")
+    if y is None:
+        raise ValueError("a target lies outside the integer column lattice")
+    return y
 
 
 def _det(m: IntMatrix) -> int:
@@ -593,7 +585,7 @@ def _det(m: IntMatrix) -> int:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1
-    a = [list(row) for row in m.to_rows()]
+    a = m.to_rows()
     sign = 1
     prev = 1
     for k in range(n - 1):

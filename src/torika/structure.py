@@ -21,7 +21,7 @@ from .errors import (IncompatibleModulesError, MalformedSubgroupError,
 from .fans import (GFan, _checked_cone, cone_contains_point,
                    is_smooth_cone, ray_orbits)
 from .groups import FiniteGroup, Subgroup
-from .linalg import IntMatrix, _kernel_array, _coords_in_basis
+from .linalg import IntMatrix, _coords_in_basis, _kernel_array, _matmul
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,9 @@ class FanMorphism:
     """An equivariant lattice map carrying one fan into another.
 
     The matrix maps the cocharacter lattice of the source fan to that of
-    the target; construction verifies equivariance and that every source
-    cone lands inside some target cone.
+    the target; construction verifies equivariance (as a GLatticeMap of
+    the two actions) and that every source cone lands inside some target
+    cone.
     """
 
     source: GFan
@@ -38,19 +39,7 @@ class FanMorphism:
     matrix: IntMatrix
 
     def __post_init__(self):
-        if self.source.group != self.target.group:
-            raise IncompatibleModulesError(
-                "source and target fans carry different groups")
-        if self.matrix.shape != (self.target.rank, self.source.rank):
-            raise IncompatibleModulesError(
-                f"matrix shape {self.matrix.shape} does not map "
-                f"rank {self.source.rank} into rank {self.target.rank}")
-        for g in self.source.group.elements():
-            left = self.target.action.act(g) @ self.matrix
-            right = self.matrix @ self.source.action.act(g)
-            if left != right:
-                raise IncompatibleModulesError(
-                    f"matrix is not equivariant for element {g}")
+        GLatticeMap(self.source.action, self.target.action, self.matrix)
         targets = self.target.maximal_cones()
         for cone in self.source.cones:
             images = [self.matrix.apply(self.source.rays[i].generator)
@@ -121,8 +110,7 @@ def affine_structure(fan: GFan, cone) -> AffineStructure:
     unit_rank = basis.shape[1]
     unit_action = []
     for g in fan.group.elements():
-        moved = dual.act(g).to_array() @ basis if unit_rank else basis
-        coords = _coords_in_basis(basis, moved)
+        coords = _coords_in_basis(basis, _matmul(dual.act(g).array, basis))
         unit_action.append(IntMatrix.from_array(coords))
     units = GLattice(fan.group, unit_rank, tuple(unit_action))
     # divisor module: permutation lattice on the cone's rays
@@ -224,6 +212,19 @@ class TropicalCheckResult:
         return self.passed
 
 
+def _multiples(vectors, bound, rank):
+    """The origin and every c*v, 1 <= c <= bound // max|v|, v in vectors.
+
+    These are the points of max-norm at most bound on the rays through
+    the (nonzero) vectors.
+    """
+    points = {(0,) * rank}
+    for v in vectors:
+        top = bound // max(abs(x) for x in v)
+        points.update(tuple(c * x for x in v) for c in range(1, top + 1))
+    return points
+
+
 def pure_divisorial_support(fan: GFan, bound: int):
     """Support lattice points of a pure divisorial fan, enumerated ray-wise.
 
@@ -236,12 +237,7 @@ def pure_divisorial_support(fan: GFan, bound: int):
         raise ValueError("ray-wise enumeration needs a pure divisorial fan")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    points = {tuple([0] * fan.rank)}
-    for ray in fan.rays:
-        top = bound // ray.max_norm
-        for c in range(1, top + 1):
-            points.add(tuple(c * x for x in ray.generator))
-    return tuple(sorted(points))
+    return tuple(sorted(_multiples(fan.ray_vectors(), bound, fan.rank)))
 
 
 def tropical_int_check(fan: GFan, bound: int) -> TropicalCheckResult:
@@ -260,11 +256,7 @@ def tropical_int_check(fan: GFan, bound: int) -> TropicalCheckResult:
         raise ValueError("the support comparison needs a pure divisorial fan")
     rho = rho_map(fan)
     downstairs = set(pure_divisorial_support(fan, bound))
-    image = {tuple([0] * fan.rank)}
-    for j in range(rho.matrix.cols):
-        column = rho.matrix.column(j)
-        top = bound // max(abs(x) for x in column)
-        image.update(tuple(c * x for x in column) for c in range(1, top + 1))
+    image = _multiples(rho.matrix.transpose().to_rows(), bound, fan.rank)
     uncovered = tuple(sorted(downstairs - image))
     unexpected = tuple(sorted(image - downstairs))
     return TropicalCheckResult(passed=not uncovered and not unexpected,

@@ -186,3 +186,16 @@ def test_internal_error_before_any_stage_names_none(capsys, monkeypatch):
     code, out, err = run(capsys, "report", fixture_path("p2"))
     assert code == 1
     assert err.splitlines() == ["torika: internal error: KeyError: 'pure'"]
+
+
+def test_validate_refuses_cone_wider_than_rank_in_one_line(capsys, tmp_path):
+    path = tmp_path / "wide_cone.json"
+    path.write_text(json.dumps({
+        "group": "trivial", "lattice_rank": 2,
+        "rays": [[1, k] for k in range(20)], "max_cones": [list(range(20))]}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"torika: {path}: max_cones entry 0 lists 20 rays, more "
+                   f"than lattice_rank 2, so its generators are linearly "
+                   f"dependent\n")

@@ -442,3 +442,18 @@ def test_resource_limit_message_names_size_and_flag():
         brauer_kernel(fan.require_valid())
     assert "rank 17 exceeds the limit 16" in str(info.value)
     assert "raise" not in str(info.value)
+
+
+def test_dual_is_inverse_transpose():
+    rng = random.Random(4242)
+    checked = 0
+    for group in DIFFERENTIAL_GROUPS:
+        for _ in range(8):
+            lattice = random_lattice(rng, group, 4)
+            dual = lattice.dual()
+            for g in group.elements():
+                inv = _unimodular_inverse(lattice.act(g).to_array())
+                assert dual.act(g) == IntMatrix.from_array(inv.T), (group.name, g)
+            assert dual.dual() == lattice
+            checked += 1
+    assert checked == 8 * len(DIFFERENTIAL_GROUPS)

@@ -1,5 +1,7 @@
 """Datum files: loading, located errors, round trips."""
 
+import json
+import time
 from pathlib import Path
 
 import pytest
@@ -126,3 +128,36 @@ def test_require_valid_off():
 def test_dump_is_deterministic():
     datum = load_fixture("standard_s3")
     assert dump_datum(datum) == dump_datum(datum)
+
+
+def wide_cone_doc(rays_in_cone, rank=2):
+    """A datum whose one maximal cone lists more rays than the rank."""
+    rays = [[1, k] + [0] * (rank - 2) for k in range(rays_in_cone)]
+    return {"group": "trivial", "lattice_rank": rank, "rays": rays,
+            "max_cones": [list(range(rays_in_cone))]}
+
+
+def test_cone_with_more_rays_than_rank_is_refused_early(tmp_path):
+    path = tmp_path / "wide_cone.json"
+    path.write_text(json.dumps(wide_cone_doc(20)))
+    start = time.perf_counter()
+    with pytest.raises(DatumError) as err:
+        load_datum(str(path), require_valid=False)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == (
+        f"{path}: max_cones entry 0 lists 20 rays, more than lattice_rank 2, "
+        f"so its generators are linearly dependent")
+
+
+def test_cone_rays_are_counted_once(tmp_path):
+    # a repeated index is one ray, so three distinct rays in rank 3 load
+    doc = wide_cone_doc(3, rank=3)
+    doc["max_cones"] = [[0, 1, 2, 2, 0]]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    assert load_datum(str(path), require_valid=False).max_cones == ((0, 1, 2),)
+    doc["max_cones"] = [[0, 1, 1], [0, 1, 2, 3]]
+    doc["rays"].append([0, 0, 1])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatumError, match="entry 1 lists 4 rays"):
+        load_datum(str(path), require_valid=False)

@@ -5,6 +5,7 @@ orbit-cone correspondence and by direct enumeration of small boxes.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
@@ -16,12 +17,12 @@ from torika.datum import load_datum
 from torika.errors import DatumError, FanValidationError, NotInFanError
 from torika.fans import (Cone, GFan, _action_problems, _extreme_directions,
                          _independent, _layout_problems,
-                         _meet_in_common_face, _solve_nonneg_rational,
+                         _meet_in_common_face,
                          cone_contains_point, is_smooth, is_smooth_cone,
                          orbit_count, orbit_dimension, primitive_vector,
                          ray_orbits, support_lattice_points, validate_fan)
 from torika.groups import cyclic_group, symmetric_group_3
-from torika.linalg import IntMatrix, _kernel_array
+from torika.linalg import IntMatrix, _kernel_array, _rank
 
 from conftest import (FIXTURE_DIR, load_fixture, rand_unimodular,
                       random_smooth_fan)
@@ -234,6 +235,48 @@ def test_support_points_lie_in_support():
                        for c in fan.maximal_cones())
 
 
+def _solve_nonneg_rational(generators, point):
+    """Coefficients c >= 0 with sum c_i * generators[i] == point, or None.
+
+    The generators must be linearly independent, so the coefficients are
+    unique; everything is solved exactly over the rationals.
+    """
+    k = len(generators)
+    if k == 0:
+        return () if not any(point) else None
+    if k == 1:  # a ray: one division
+        gen = generators[0]
+        i = next((i for i, x in enumerate(gen) if x), None)
+        c = None if i is None else Fraction(point[i], gen[i])
+        ok = c is not None and c >= 0 and all(c * x == y for x, y in zip(gen, point))
+        return (c,) if ok else None
+    n = len(point)
+    rows = [[Fraction(generators[j][i]) for j in range(k)] + [Fraction(point[i])]
+            for i in range(n)]
+    pivot_row = {}
+    top = 0
+    for col in range(k):
+        src = next((r for r in range(top, n) if rows[r][col]), None)
+        if src is None:
+            return None  # dependent generators; callers prevalidate
+        rows[top], rows[src] = rows[src], rows[top]
+        inv = 1 / rows[top][col]
+        rows[top] = [x * inv for x in rows[top]]
+        for r in range(n):
+            if r != top and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[top])]
+        pivot_row[col] = top
+        top += 1
+    for r in range(top, n):
+        if rows[r][k]:
+            return None  # point outside the span
+    coeffs = tuple(rows[pivot_row[c]][k] for c in range(k))
+    if any(c < 0 for c in coeffs):
+        return None
+    return coeffs
+
+
 def full_system_meet(fan, c1, c2):
     """Oracle for _meet_in_common_face: the full system [V | -W].
 
@@ -443,3 +486,41 @@ def test_is_smooth_is_computed_once(monkeypatch):
     full_report(fan)
     assert len(calls) == len(fan.maximal_cones())
     assert is_smooth(fan) and len(calls) == len(fan.maximal_cones())
+
+
+def random_cone_generators(rng, rank, k):
+    """k independent generators: columns of a random basis times a random
+    upper triangular matrix with diagonal entries 1 to 3."""
+    basis = rand_unimodular(rng, rank)
+    tri = IntMatrix([[0 if j < i else rng.randint(1, 3) if j == i
+                      else rng.randint(-2, 2) for j in range(rank)]
+                     for i in range(rank)])
+    return [(basis @ tri).column(j) for j in range(k)]
+
+
+def test_cone_membership_matches_rational_oracle():
+    rng = random.Random(31337)
+    seen = {"in": 0, "face": 0, "out": 0, "off span": 0}
+    for case in range(60):
+        rank = rng.randint(1, 4)
+        k = rng.randint(0, rank)
+        gens = random_cone_generators(rng, rank, k)
+        fan = GFan.from_max_cones(rank, gens, [range(k)])
+        cone = Cone(tuple(range(k)))
+        radius = 2 if rank <= 3 else 1
+        points = list(product(range(-radius, radius + 1), repeat=rank))
+        # combinations with some zero coefficients lie on proper faces
+        for coeffs in product(range(3), repeat=k):
+            point = tuple(sum(c * g[i] for c, g in zip(coeffs, gens))
+                          for i in range(rank))
+            points += [point, tuple(-x for x in point)]
+        for point in points:
+            want = _solve_nonneg_rational(gens, point)
+            assert cone_contains_point(fan, cone, point) == (want is not None), \
+                (case, gens, point)
+            if want is None:
+                span = np.array(gens + [point], dtype=object).reshape(-1, rank)
+                seen["out" if _rank(span) == k else "off span"] += 1
+            else:
+                seen["face" if 0 in want else "in"] += 1
+    assert min(seen.values()) >= 50, seen

@@ -9,13 +9,16 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torika.linalg import (FinAbGroup, IntMatrix, cokernel, kernel_basis,
                            smith_normal_form, solve_integer)
-from torika.linalg import _coords_in_basis, _det, _is_unimodular, _smith
+from torika.linalg import (_coords_in_basis, _det, _is_unimodular,
+                           _kernel_array, _matmul, _rank, _smith,
+                           _unimodular_inverse)
 
 from conftest import rand_unimodular
 
@@ -195,3 +198,147 @@ def test_rand_unimodular_is_unimodular():
     for n in (1, 2, 3, 4):
         for _ in range(10):
             assert _is_unimodular(rand_unimodular(rng, n))
+
+
+def kernel_route_coords(basis, targets):
+    """Oracle for _coords_in_basis: the kernel of [B | T].
+
+    B independent makes that kernel t-dimensional exactly when every
+    target is in the span of B; its rows (-Y; I) up to a unimodular
+    change of basis then give Y, provided the bottom block is unimodular,
+    which is when every target lies in the integer column lattice.
+    Returns None when some target has no integer coordinates.
+    """
+    k, t = basis.shape[1], targets.shape[1]
+    ker = _kernel_array(np.concatenate([basis, targets], axis=1))
+    if ker.shape[1] != t:
+        return None
+    try:
+        inv = _unimodular_inverse(ker[k:, :])
+    except ValueError:
+        return None
+    return -_matmul(ker[:k, :], inv)
+
+
+def random_independent_basis(rng, m, k):
+    while True:
+        basis = np.array([[rng.randint(-4, 4) for _ in range(k)]
+                          for _ in range(m)], dtype=object).reshape(m, k)
+        if _rank(basis) == k:
+            return basis
+
+
+def test_solvers_match_kernel_route():
+    rng = random.Random(20261018)
+    inside = outside = 0
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        k = rng.randint(0, m)
+        basis = random_independent_basis(rng, m, k)
+        y0 = np.array([[rng.randint(-3, 3) for _ in range(2)]
+                       for _ in range(k)], dtype=object).reshape(k, 2)
+        targets = _matmul(basis, y0)
+        if rng.random() < 0.5:  # usually outside the lattice, often the span
+            targets[:, 1] = [rng.randint(-3, 3) for _ in range(m)]
+        want = kernel_route_coords(basis, targets)
+        if want is None:
+            outside += 1
+            with pytest.raises(ValueError):
+                _coords_in_basis(basis, targets)
+        else:
+            inside += 1
+            assert _coords_in_basis(basis, targets).tolist() == want.tolist()
+        for j in range(targets.shape[1]):
+            col = targets[:, j:j + 1]
+            want = kernel_route_coords(basis, col)
+            got = solve_integer(IntMatrix.from_array(basis), col[:, 0].tolist())
+            assert got == (None if want is None else tuple(want[:, 0].tolist()))
+    assert inside >= 50 and outside >= 50
+
+
+def test_coords_in_basis_refuses_dependent_basis():
+    rng = random.Random(5)
+    for _ in range(50):
+        m = rng.randint(1, 4)
+        basis = random_independent_basis(rng, m, rng.randint(1, m))
+        extra = _matmul(basis, np.array([[rng.randint(-2, 2)]
+                                         for _ in range(basis.shape[1])],
+                                        dtype=object))
+        dependent = np.concatenate([basis, extra], axis=1)
+        with pytest.raises(ValueError):
+            _coords_in_basis(dependent, basis)
+    with pytest.raises(ValueError):
+        _coords_in_basis(np.zeros((2, 1), dtype=object),
+                         np.zeros((2, 0), dtype=object))
+
+
+def test_intmatrix_to_array_is_a_copy():
+    m = IntMatrix([[1, 2], [3, 4]])
+    a = m.to_array()
+    a[0, 0] = 99
+    assert a.flags.writeable
+    assert m == IntMatrix([[1, 2], [3, 4]]) and m[0, 0] == 1
+
+
+def test_intmatrix_array_refuses_writes():
+    m = IntMatrix([[1, 2], [3, 4]])
+    made = [m, m @ m, m + m, -m, m.transpose(), IntMatrix.identity(2),
+            IntMatrix.zeros(2, 3), IntMatrix.from_array(m.to_array()),
+            IntMatrix.from_columns([(1, 2)]), kernel_basis(IntMatrix([[1, -1]])),
+            smith_normal_form(m).u]
+    for x in made:
+        with pytest.raises(ValueError):
+            x.array[0, 0] = 7
+    assert m == IntMatrix([[1, 2], [3, 4]])
+
+
+def test_intmatrix_equal_means_equal_hash():
+    pairs = [
+        (IntMatrix([[1, 2], [3, 4]]), IntMatrix.from_array(
+            np.array([[1, 2], [3, 4]], dtype=np.int64))),
+        (IntMatrix([[1, 2], [3, 4]]).transpose(),
+         IntMatrix.from_columns([(1, 2), (3, 4)])),
+        (IntMatrix.zeros(0, 3), IntMatrix([], cols=3)),
+        (IntMatrix.zeros(0, 3), IntMatrix.from_array(np.empty((0, 3)))),
+        (IntMatrix.zeros(3, 0), IntMatrix([[], [], []])),
+        (IntMatrix.zeros(3, 0), IntMatrix.from_columns([], rows=3)),
+        (IntMatrix.zeros(0, 0), IntMatrix([])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b), (a, b)
+    assert IntMatrix.zeros(0, 3) != IntMatrix.zeros(3, 0)
+    assert IntMatrix.zeros(0, 3) != IntMatrix.zeros(0, 2)
+    assert IntMatrix([[1, 2]]) != IntMatrix([[1], [2]])
+    assert len({IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0),
+                IntMatrix([], cols=3)}) == 2
+
+
+def test_intmatrix_from_int64_array_holds_python_ints():
+    m = IntMatrix.from_array(np.array([[1, -2], [3, 2 ** 40]], dtype=np.int64))
+    assert m.array.dtype == object
+    assert all(type(x) is int for x in m.entries)
+    assert type(m[1, 1]) is int
+    big = m @ IntMatrix([[2 ** 40, 0], [0, 2 ** 40]])
+    assert big[1, 1] == 2 ** 80  # no int64 wrap-around
+
+
+def test_intmatrix_checks_and_zero_shapes():
+    with pytest.raises(ValueError, match="unequal lengths"):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="contradicts"):
+        IntMatrix([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match="columns have unequal lengths"):
+        IntMatrix.from_columns([(1, 2), (3,)])
+    with pytest.raises(ValueError, match="explicit row count"):
+        IntMatrix.from_columns([])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
+    with pytest.raises(ValueError, match="shape mismatch in addition"):
+        IntMatrix([[1, 2]]) - IntMatrix([[1], [2]])
+    assert IntMatrix.zeros(2, 0) @ IntMatrix.zeros(0, 3) == IntMatrix.zeros(2, 3)
+    assert IntMatrix.zeros(0, 2) @ IntMatrix.zeros(2, 3) == IntMatrix.zeros(0, 3)
+    assert IntMatrix.zeros(2, 0).apply(()) == (0, 0)
+    assert IntMatrix([[1, 2], [3, 4]]).apply((1, -1)) == (-1, -1)
+    assert IntMatrix.from_columns([(1, 2), (3, 4)]).row(0) == (1, 3)
+    assert IntMatrix.from_columns([(1, 2), (3, 4)]).column(1) == (3, 4)
+    assert repr(IntMatrix.zeros(0, 2)) == "IntMatrix.zeros(0, 2)"
