@@ -1,15 +1,22 @@
 """Lattices with a finite group action and their low-degree cohomology.
 
-Cochains come from the inhomogeneous bar resolution: an n-cochain is a
-dense integer vector of dimension rank * |G|^n, indexed blockwise by
-tuples (g1, ..., gn).  H^1 is ker d^1 modulo im d^0.  H^2 needs no d^2:
-n = |G| kills H^1 and H^2, so 0 -> L -n-> L -> L/nL -> 0 gives
-H^2(G, L) = H^1(G, L/nL) / H^1(G, L) (Brown, Cohomology of Groups, III),
-whose cocycles are the f in C^1 with d^1 f = 0 mod n and whose
-boundaries are Z^1 + n C^1; one Smith form of d^1 presents both.
+Cochains come from a presentation of G read off its Cayley graph (Fox,
+Free differential calculus I, Ann. Math. 57, 1953; Brown, Cohomology of
+Groups, II-III).  S is a generating set chosen from the table, and a
+1-cochain is a vector (f(s))_s in L^S.  A BFS spanning tree of the
+right Cayley graph writes each g as a word in S, so a crossed
+homomorphism has f(g) = E_g (f(s))_s with E_gs = E_g + g P_s along the
+tree.  d^1 has one block row E_g + g P_s - E_gs per edge off the tree,
+and d^0 x = (s x - x)_s.  H^1 is ker d^1 modulo im d^0.  H^2 needs no
+d^2: n = |G| kills H^1 and H^2, so 0 -> L -n-> L -> L/nL -> 0 gives
+H^2(G, L) = H^1(G, L/nL) / H^1(G, L) (Brown, III), whose cocycles are
+the f in L^S with d^1 f = 0 mod n and whose boundaries are
+Z^1 + n L^S; one Smith form of d^1 presents both.
 Every result retains a basis of its cocycle lattice together with the
 boundary generators written in that basis, so maps induced on
 cohomology can be computed afterwards without re-deriving anything.
+The bar resolution survives only as `coboundary_matrix`, an independent
+route for checks.
 """
 
 from __future__ import annotations
@@ -36,8 +43,10 @@ from .linalg import (
     _smith,
 )
 
-# Size guards.  The largest matrix any degree builds is d^1, of shape
-# (rank * |G|^2) x (rank * |G|): 2304 x 192 at these limits.
+# Size guards.  The largest matrix any degree builds is the presentation's
+# d^1, of shape rank*(|G|(|S|-1)+1) x rank*|S|.  Each generator at least
+# doubles the subgroup generated so far, so |S| <= 3 up to order 12 and
+# d^1 is at most 400 x 48 at these limits.
 ORDER_LIMIT = 12
 RANK_LIMIT = 16
 
@@ -164,11 +173,11 @@ class CohomologyResult:
     """H^degree of a lattice, with its presentation kept around.
 
     `cocycles` has the basis of the cocycle lattice as columns (inside
-    the dense cochain space); `boundaries` expresses the coboundary
-    generators in that basis, so the group is Z^k modulo its column
-    span.  For degree 2 both live in C^1: the cocycles are the
-    1-cochains f with d^1 f = 0 mod |G|, the boundaries generate
-    Z^1 + |G| C^1, and the boundary matrix is diagonal.
+    the cochain space L^S of the Cayley-graph presentation);
+    `boundaries` expresses the coboundary generators in that basis, so
+    the group is Z^k modulo its column span.  For degree 2 both live in
+    L^S: the cocycles are the f with d^1 f = 0 mod |G|, the boundaries
+    generate Z^1 + |G| L^S, and the boundary matrix is diagonal.
     """
 
     degree: int
@@ -178,16 +187,65 @@ class CohomologyResult:
     boundaries: IntMatrix
 
 
+def _generating_set(group: FiniteGroup, elements=None):
+    """The elements, in increasing order, outside the subgroup of those before.
+
+    Each one at least doubles the subgroup generated so far, and the
+    result generates the subgroup the elements generate (by default, G).
+    """
+    gens, reached = [], {group.identity}
+    for x in sorted(group.elements() if elements is None else elements):
+        if x not in reached:
+            gens.append(x)
+            reached = set(group.generated_subgroup(gens).elements)
+    return tuple(gens)
+
+
 def _check_limits(lattice, order_limit, rank_limit, raisable=True):
     order, rank = lattice.group.order, lattice.rank
     for what, flag, value, limit in (("group order", "order", order, order_limit),
                                      ("lattice rank", "rank", rank, rank_limit)):
         if value > limit:
+            gens = len(_generating_set(lattice.group))
             how = (f"; raise it with {flag}_limit= or torika cohomology "
                    f"--{flag}-limit" if raisable else "")
             raise ResourceLimitError(
                 f"{what} {value} exceeds the limit {limit} (d^1 would be "
-                f"{rank * order ** 2}x{rank * order}){how}")
+                f"{rank * (order * (gens - 1) + 1)}x{rank * gens}){how}")
+
+
+def _cayley_complex(lattice: GLattice):
+    """(gens, paths, d1) of the presentation read off the Cayley graph.
+
+    `paths[g]` is E_g, the rank x rank*|S| matrix with f(g) = E_g @ f for
+    a crossed homomorphism f = (f(s))_s, built along a BFS tree of the
+    right Cayley graph; `d1` stacks E_g + g P_s - E_gs over the edges
+    (g, s) off the tree, one rank-row block each.
+    """
+    group = lattice.group
+    gens = _generating_set(group)
+    rank = lattice.rank
+    acts = lattice.action_arrays()
+    paths = [None] * group.order
+    paths[group.identity] = np.zeros((rank, rank * len(gens)), dtype=object)
+    relations = []
+    queue = [group.identity]
+    for g in queue:
+        for j, s in enumerate(gens):
+            step = paths[g].copy()
+            step[:, j * rank:(j + 1) * rank] += acts[g]
+            h = group.table[g][s]
+            if paths[h] is None:
+                paths[h] = step
+                queue.append(h)
+            else:
+                relations.append(step - paths[h])
+    return gens, paths, _stack(relations, rank * len(gens))
+
+
+def _stack(blocks, width):
+    """The row blocks stacked, as a (0 x width) array when there are none."""
+    return np.concatenate(blocks) if blocks else np.zeros((0, width), dtype=object)
 
 
 def _flat(tup, order):
@@ -198,7 +256,7 @@ def _flat(tup, order):
 
 
 def _coboundary_array(lattice: GLattice, n: int):
-    """The coboundary d^n : C^n -> C^(n+1) as a dense integer matrix."""
+    """The bar coboundary d^n : C^n -> C^(n+1) as a dense integer matrix."""
     order = lattice.group.order
     rank = lattice.rank
     table = lattice.group.table
@@ -240,20 +298,30 @@ def _invariants_basis(lattice: GLattice):
     return _kernel_array(np.concatenate(stacked, axis=0))
 
 
-def _shifted_basis(lattice: GLattice):
+def _shifted_basis(d1, n):
     """(v, w, lifts, orders) from one Smith form s = u @ d^1 @ v, w = v^-1.
 
     In the coordinates y = w @ f, f is a cocycle mod n exactly when each
-    y[i] is divisible by lifts[i], and lies in Z^1 + n C^1 exactly when
+    y[i] is divisible by lifts[i], and lies in Z^1 + n L^S exactly when
     each y[i] is divisible by lifts[i] * orders[i]: H^2 = sum Z/orders[i].
     """
-    n = lattice.group.order
-    d1 = _nonredundant_rows(_coboundary_array(lattice, 1))
-    s, _, v, w = _smith(d1, want_v=True)
+    s, _, v, w = _smith(_nonredundant_rows(d1), want_v=True)
     diag = [s[i, i] if i < s.shape[0] else 0 for i in range(s.shape[1])]
     lifts = tuple(n // gcd(n, d) if d else 1 for d in diag)
     orders = tuple(gcd(n, d) if d else 1 for d in diag)
     return v, w, lifts, orders
+
+
+def _h2_result(lattice, d1) -> CohomologyResult:
+    """H^2 of the lattice from the d^1 of its presentation."""
+    v, _, lifts, orders = _shifted_basis(d1, lattice.group.order)
+    return CohomologyResult(
+        degree=2,
+        coefficients=lattice,
+        group=FinAbGroup(0, tuple(d for d in orders if d > 1)),
+        cocycles=IntMatrix.from_array(v * np.array(lifts, dtype=object)),
+        boundaries=IntMatrix.from_array(np.diag(np.array(orders, dtype=object))),
+    )
 
 
 def cohomology(lattice: GLattice, degree: int, *,
@@ -278,17 +346,13 @@ def cohomology(lattice: GLattice, degree: int, *,
             cocycles=IntMatrix.from_array(inv),
             boundaries=IntMatrix.zeros(k, 0),
         )
+    gens, _, d1 = _cayley_complex(lattice)
     if degree == 2:
-        v, _, lifts, orders = _shifted_basis(lattice)
-        return CohomologyResult(
-            degree=2,
-            coefficients=lattice,
-            group=FinAbGroup(0, tuple(d for d in orders if d > 1)),
-            cocycles=IntMatrix.from_array(v * np.array(lifts, dtype=object)),
-            boundaries=IntMatrix.from_array(np.diag(np.array(orders, dtype=object))),
-        )
-    z = _kernel_array(_coboundary_array(lattice, 1))
-    y = _coords_in_basis(z, _coboundary_array(lattice, 0))
+        return _h2_result(lattice, d1)
+    acts = lattice.action_arrays()
+    eye = _eye(lattice.rank)
+    z = _kernel_array(d1)
+    y = _coords_in_basis(z, _stack([acts[s] - eye for s in gens], lattice.rank))
     return CohomologyResult(
         degree=1,
         coefficients=lattice,
@@ -360,11 +424,12 @@ def induced_h2_map(fmap: GLatticeMap,
     """The map H^2(G, source) -> H^2(G, target) induced by an equivariant map.
 
     The dimension shift is natural in the lattice, so the map acts on
-    the 1-cochains of the presentations block by block.
+    the 1-cochains of the presentations, one block per generator.
     """
     r1 = _h2_of(fmap.source, source_result)
     r2 = _h2_of(fmap.target, target_result)
-    fz = _apply_blockwise(fmap, r1.cocycles.array, fmap.source.group.order)
+    fz = _apply_blockwise(fmap, r1.cocycles.array,
+                          len(_generating_set(fmap.source.group)))
     w = _coords_in_basis(r2.cocycles.array, fz)
     return InducedCohomologyMap(source=r1, target=r2, matrix=IntMatrix.from_array(w))
 
@@ -382,16 +447,18 @@ def kernel_of_h2_map(fmap: GLatticeMap,
     """Kernel of the induced H^2 map, by a membership test on 1-cochains.
 
     A source class z is in the kernel exactly when f(z) lies in the
-    target's Z^1 + n C^1: in the target's Smith coordinates y = w @ f(z)
+    target's Z^1 + n L^S: in the target's Smith coordinates y = w @ f(z)
     (`_shifted_basis`), y[i] = 0 mod n wherever orders[i] > 1.  No
-    presentation of the target cohomology is built.
+    presentation of the target cohomology is built, but its d^1 is
+    put in Smith form; `brauer_kernel` needs neither (`_shapiro_kernel`).
     """
     r1 = _h2_of(fmap.source, source_result)
     _check_limits(fmap.target, ORDER_LIMIT, RANK_LIMIT, raisable=False)
     order = fmap.source.group.order
-    _, w, _, orders = _shifted_basis(fmap.target)
+    gens, _, d1 = _cayley_complex(fmap.target)
+    _, w, _, orders = _shifted_basis(d1, order)
     tested = [i for i, d in enumerate(orders) if d > 1]
-    fz = _apply_blockwise(fmap, r1.cocycles.array, order)
+    fz = _apply_blockwise(fmap, r1.cocycles.array, len(gens))
     return _preimage_quotient(_matmul(w[tested, :], fz),
                               order * _eye(len(tested)),
                               r1.boundaries.array)
@@ -412,3 +479,29 @@ def kernel_of_h2_map_via_presentations(
     return _preimage_quotient(induced.matrix.array,
                               induced.target.boundaries.array,
                               induced.source.boundaries.array)
+
+
+def _shapiro_kernel(fmap: GLatticeMap, orbits) -> FinAbGroup:
+    """Kernel of H^2(G, L) -> H^2(G, Z^X) for a map into a permutation lattice.
+
+    `orbits` lists the G-orbits of the basis X of the target, each with
+    the stabilizer H_i of its first member x_i, so Z^X = sum Z[G/H_i].
+    H^1(G, Z[G/H_i]) = Hom(H_i, Z) = 0, so H^2(G, Z[G/H_i]) is
+    H^1(G, Z/n[G/H_i]), which Shapiro's lemma identifies with
+    Hom(H_i, Z/n) by restricting a cocycle to H_i and reading its x_i
+    coordinate.  A source cocycle f is therefore in the kernel exactly
+    when (row x_i of the matrix) @ E_h @ f = 0 mod n for each generator h
+    of each H_i: no cohomology of the target is computed.
+    """
+    lattice = fmap.source
+    _check_limits(lattice, ORDER_LIMIT, RANK_LIMIT, raisable=False)
+    group = lattice.group
+    _, paths, d1 = _cayley_complex(lattice)
+    r1 = _h2_result(lattice, d1)
+    rows = fmap.matrix.array
+    tests = _stack([_matmul(rows[orbit[:1], :], paths[h])
+                    for orbit, stab in orbits
+                    for h in _generating_set(group, stab.elements)], d1.shape[1])
+    return _preimage_quotient(_matmul(tests, r1.cocycles.array),
+                              group.order * _eye(tests.shape[0]),
+                              r1.boundaries.array)

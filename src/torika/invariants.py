@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import kernel_of_h2_map
+from .cohomology import _shapiro_kernel
 from .errors import StageError, TorikaError
 from .fans import GFan, is_smooth, orbit_count, ray_orbits
 from .linalg import FinAbGroup, cokernel
@@ -38,15 +38,17 @@ def brauer_kernel(fan: GFan) -> FinAbGroup:
     """The algebraic Brauer classes of the variety, at the fan's group level.
 
     Computed as the kernel of the map induced on H^2 by the divisor
-    character map M -> Z^rays.  With no rays at all this is the whole of
-    H^2(G, M), the Brauer group of the bare torus at this level.
+    character map M -> Z^rays, by Shapiro restriction to the stabilizer
+    of one ray per orbit, so no cohomology of Z^rays is computed.  With
+    no rays at all this is the whole of H^2(G, M), the Brauer group of
+    the bare torus at this level.
     """
     fan.require_valid()
     if not is_pure_divisorial(fan):
         raise ValueError("the Brauer kernel expects a pure divisorial fan")
     if not is_smooth(fan):
         raise ValueError("the Brauer kernel expects a smooth fan")
-    return kernel_of_h2_map(divisor_map(fan))
+    return _shapiro_kernel(divisor_map(fan), ray_orbits(fan))
 
 
 @dataclass(frozen=True)

@@ -307,16 +307,19 @@ def _find_pivot(s, k):
     return where
 
 
-def _smith(a, want_u=False, want_v=False):
+def _smith(a, left=None, want_v=False):
     """Diagonalize a copy of `a` by unimodular row/column operations.
 
-    Returns (s, u, v, w) with u @ a @ v == s and w @ v == 1; u is None
-    unless requested, v and w unless want_v.  The diagonal is nonnegative,
-    satisfies the divisibility chain and has its zeros trailing.
+    Returns (s, ul, v, w) with u @ a @ v == s and w @ v == 1 for a
+    unimodular u that is never formed: ul is u @ left, the row operations
+    applied to a copy of `left` (m rows; the identity gives u itself),
+    and None without it.  v and w are None unless want_v.  The diagonal
+    is nonnegative, satisfies the divisibility chain and has its zeros
+    trailing.
     """
     m, n = a.shape
     s = a.copy()
-    u = _eye(m) if want_u else None
+    u = None if left is None else np.array(left, dtype=object)
     v = _eye(n) if want_v else None
     w = _eye(n) if want_v else None
     limit = min(m, n)
@@ -397,7 +400,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     Returns SmithDecomposition(u, s, v) satisfying u @ m @ v == s.
     """
-    s, u, v, _ = _smith(m.array, want_u=True, want_v=True)
+    s, u, v, _ = _smith(m.array, left=_eye(m.rows), want_v=True)
     return SmithDecomposition(u=IntMatrix._adopt(u), s=IntMatrix._adopt(s),
                               v=IntMatrix._adopt(v))
 
@@ -521,10 +524,10 @@ def _solve(a, b):
 
     With s = u @ a @ v in Smith form, a @ Y == b reads s @ Z == u @ b for
     Y = v @ Z: each row of u @ b must be divisible by its diagonal entry
-    of s, and zero past the rank (Cohen, GTM 138, section 2.4).
+    of s, and zero past the rank (Cohen, GTM 138, section 2.4).  The row
+    operations act on b directly, so the m x m matrix u is never formed.
     """
-    s, u, v, _ = _smith(a, want_u=True, want_v=True)
-    c = _matmul(u, b)
+    s, c, v, _ = _smith(a, left=b, want_v=True)
     d = s.diagonal()
     rank = np.count_nonzero(d)
     d = d[:rank, None]

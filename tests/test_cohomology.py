@@ -3,19 +3,24 @@
 Frozen values were cross-checked against the cyclic norm-quotient
 oracle (H^2 = L^G / N.L for cyclic G) and, for degree one, against
 direct cocycle/coboundary enumeration done while deriving the tests.
-H^2 and the Brauer-type kernels are also checked against the bar
-route (`bar_h2`, `bar_kernel`): kernel of d^2 modulo the image of d^1,
-with maps lifted on 2-cochains.
+H^1, H^2 and the Brauer-type kernels are also checked against the
+bar route (`bar_h1`, `bar_h2`, `bar_kernel`): kernel of d^2 modulo the
+image of d^1, with maps lifted on 2-cochains.  Groups given by explicit
+tables (D4, Q8, A4, C2xC4) and relabeled copies of every group vary the
+generating set and spanning tree the presentation is read from.
 """
 
 import random
+from importlib import import_module
+from itertools import combinations, permutations
 from math import gcd
 
 import numpy as np
 import pytest
 
 from torika.cohomology import (RANK_LIMIT, GLattice, GLatticeMap,
-                               _apply_blockwise, _coboundary_array,
+                               _apply_blockwise, _cayley_complex,
+                               _coboundary_array,
                                _preimage_quotient, coboundary_matrix,
                                cohomology, induced_h2_map, kernel_of_h2_map,
                                kernel_of_h2_map_via_presentations,
@@ -24,11 +29,11 @@ from torika.cohomology import (RANK_LIMIT, GLattice, GLatticeMap,
 from torika.errors import (IncompatibleModulesError, ResourceLimitError,
                            UnsupportedGroupError)
 from torika.fans import GFan
-from torika.groups import (cyclic_group, klein_four_group, symmetric_group_3,
-                           trivial_group)
-from torika.invariants import brauer_kernel
+from torika.groups import (FiniteGroup, cyclic_group, klein_four_group,
+                           symmetric_group_3, trivial_group)
+from torika.invariants import brauer_kernel, full_report
 from torika.linalg import (FinAbGroup, IntMatrix, _cokernel_array,
-                           _coords_in_basis, _kernel_array,
+                           _coords_in_basis, _kernel_array, _smith,
                            _unimodular_inverse)
 from torika.structure import (divisor_map, pure_divisorial_truncation,
                               standard_fan)
@@ -240,6 +245,24 @@ def bar_h2(lattice):
     return _cokernel_array(y), z, y
 
 
+def bar_h1(lattice):
+    """H^1 as ker d^1 modulo im d^0 in the bar complex."""
+    z = _kernel_array(_coboundary_array(lattice, 1))
+    return _cokernel_array(_coords_in_basis(z, _coboundary_array(lattice, 0)))
+
+
+def bar_shift_h2(lattice):
+    """H^2 = sum Z/gcd(n, d_i) over the Smith form of the bar d^1.
+
+    The dimension shift on the bar complex: a route for the lattices
+    whose bar d^2 is too large to take a kernel of in a test.
+    """
+    n = lattice.group.order
+    s = _smith(_coboundary_array(lattice, 1))[0]
+    diag = [gcd(n, s[i, i]) for i in range(min(s.shape)) if s[i, i]]
+    return FinAbGroup(0, tuple(d for d in diag if d > 1))
+
+
 def bar_kernel(fmap):
     """Kernel of the induced H^2 map: bar 2-cocycles whose image is a coboundary."""
     _, z, y = bar_h2(fmap.source)
@@ -314,6 +337,97 @@ DIFFERENTIAL_GROUPS = [cyclic_group(n) for n in (2, 3, 4, 5, 6)] + [
     klein_four_group(), symmetric_group_3()]
 
 
+def _table_group(name, elements, mul):
+    index = {x: i for i, x in enumerate(elements)}
+    return FiniteGroup(len(elements), tuple(
+        tuple(index[mul(x, y)] for y in elements) for x in elements), name=name)
+
+
+def _compose(p, q):
+    return tuple(p[x] for x in q)
+
+
+def _quaternion(p, q):
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+# tables that are no preset: each needs two generators, and D4, Q8 and A4
+# have non-abelian relators
+EXPLICIT_GROUPS = [
+    _table_group("D4", [tuple((k + s * x) % 4 for x in range(4))
+                        for s in (1, -1) for k in range(4)], _compose),
+    _table_group("Q8", [tuple(s * (i == j) for j in range(4))
+                        for i in range(4) for s in (1, -1)], _quaternion),
+    _table_group("A4", [p for p in permutations(range(4))
+                        if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0],
+                 _compose),
+    _table_group("C2xC4", [(a, b) for a in range(2) for b in range(4)],
+                 lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 4)),
+]
+
+
+def _relabeled(rng, lattice):
+    """The same lattice over the same group, its elements relabeled at random.
+
+    The identity moves too, and the generating set and Cayley tree the
+    presentation is read from change with the labels.
+    """
+    group = lattice.group
+    label = list(group.elements())
+    rng.shuffle(label)
+    table = [[0] * group.order for _ in group.elements()]
+    action = [None] * group.order
+    for a in group.elements():
+        action[label[a]] = lattice.act(a)
+        for b in group.elements():
+            table[label[a]][label[b]] = label[group.mul(a, b)]
+    moved = FiniteGroup(group.order, tuple(map(tuple, table)), name=group.name)
+    return GLattice(moved, lattice.rank, tuple(action))
+
+
+def test_explicit_groups_are_the_named_groups():
+    orders = {g.name: sorted(g.element_order(x) for x in g.elements())
+              for g in EXPLICIT_GROUPS}
+    assert orders == {"D4": [1, 2, 2, 2, 2, 2, 4, 4],
+                      "Q8": [1, 2, 4, 4, 4, 4, 4, 4],
+                      "A4": [1, 2, 2, 2] + [3] * 8,
+                      "C2xC4": [1, 2, 2, 2, 4, 4, 4, 4]}
+
+
+def test_presentation_matches_bar_and_tate_routes():
+    rng = random.Random(20261019)
+    checked = nontrivial = 0
+    for group in DIFFERENTIAL_GROUPS + EXPLICIT_GROUPS:
+        for _ in range(6):
+            lattice = random_lattice(rng, group, 4)
+            h1, h2 = cohomology(lattice, 1).group, cohomology(lattice, 2).group
+            assert h1 == bar_h1(lattice), (group.name, lattice.action)
+            small = lattice.rank * group.order <= 16
+            assert h2 == (bar_h2(lattice)[0] if small else bar_shift_h2(lattice)), \
+                (group.name, lattice.action)
+            if group.is_cyclic():
+                assert h2 == tate_cyclic_h2(lattice)
+            moved = _relabeled(rng, lattice)
+            assert cohomology(moved, 1).group == h1, group.name
+            assert cohomology(moved, 2).group == h2, group.name
+            checked += 1
+            nontrivial += not (h1.is_trivial and h2.is_trivial)
+    assert checked == 66 and nontrivial >= 25
+
+
+def test_presentation_d1_shape():
+    # rank * (|G|(|S|-1)+1) x rank * |S|: one relator block for a cyclic
+    # group, 7 for S3 and 9 for D4 on two generators
+    for group, blocks, gens in ((cyclic_group(12), 1, 1), (symmetric_group_3(), 7, 2),
+                                (EXPLICIT_GROUPS[0], 9, 2), (trivial_group(), 0, 0)):
+        lattice = trivial_lattice(group, 3)
+        d1 = _cayley_complex(lattice)[2]
+        assert d1.shape == (3 * blocks, 3 * gens), group.name
+
+
 def test_h2_matches_bar_route():
     rng = random.Random(20261018)
     checked = nontrivial = 0
@@ -356,8 +470,11 @@ def test_kernel_matches_bar_lift_on_random_maps():
 
 def test_kernel_matches_bar_lift_on_fixtures():
     for name in FIXTURE_NAMES:
-        dm = divisor_map(pure_divisorial_truncation(load_fixture(name).fan))
-        assert kernel_of_h2_map(dm) == bar_kernel(dm), name
+        fan = pure_divisorial_truncation(load_fixture(name).fan)
+        dm = divisor_map(fan)
+        want = bar_kernel(dm)
+        assert kernel_of_h2_map(dm) == want, name
+        assert brauer_kernel(fan) == want, name
 
 
 def _orbit_fan(rng, lattice, least_rays, most_rays):
@@ -387,7 +504,104 @@ def test_kernel_matches_bar_lift_on_wide_fans():
     for fan in fans:
         assert 9 <= len(fan.rays) <= 13
         dm = divisor_map(fan)
-        assert kernel_of_h2_map(dm) == bar_kernel(dm), (fan.group.name, fan.rays)
+        want = bar_kernel(dm)
+        assert kernel_of_h2_map(dm) == want, (fan.group.name, fan.rays)
+        assert brauer_kernel(fan) == want, (fan.group.name, fan.rays)
+
+
+def _product_truncation(rng, group):
+    """The pure divisorial truncation of a (P^1)^d on which G permutes factors.
+
+    G permutes the d <= 4 coordinates through the cosets of random
+    subgroups, times a sign character when it has one, and the fan is
+    put in a random basis.
+    """
+    subs = [h for h in group.cyclic_subgroups() + [group.full_subgroup()]
+            if h.index <= 4]
+    lattice = permutation_module(group, rng.choice(subs))
+    while rng.random() < 0.6:
+        fits = [h for h in subs if lattice.rank + h.index <= 4]
+        if not fits:
+            break
+        lattice = lattice.direct_sum(permutation_module(group, rng.choice(fits)))
+    signs = [h for h in group.cyclic_subgroups() if h.index == 2]
+    if signs and rng.random() < 0.5:
+        sub = rng.choice(signs)
+        lattice = GLattice(group, lattice.rank, tuple(
+            m if g in sub else -m for g, m in enumerate(lattice.action)))
+    d = lattice.rank
+    u = rand_unimodular(rng, d)
+    u_inv = IntMatrix.from_array(_unimodular_inverse(u.to_array()))
+    rays = [u.apply(tuple(s * (j == i) for j in range(d)))
+            for i in range(d) for s in (1, -1)]
+    cones = [tuple(2 * i + (k >> i & 1) for i in range(d)) for k in range(2 ** d)]
+    fan = GFan.from_max_cones(d, rays, cones, action=GLattice(
+        group, d, tuple(u @ m @ u_inv for m in lattice.action)))
+    return pure_divisorial_truncation(fan.require_valid())
+
+
+def test_brauer_kernel_matches_both_routes_on_random_truncations():
+    rng = random.Random(606)
+    checked = nontrivial = 0
+    for group in DIFFERENTIAL_GROUPS + EXPLICIT_GROUPS:
+        fans = [_product_truncation(rng, group),
+                _orbit_fan(rng, random_lattice(rng, group, 3), 2, 8)]
+        for fan in fans:
+            dm = divisor_map(fan)
+            got = brauer_kernel(fan)
+            assert got == kernel_of_h2_map(dm), (group.name, fan.rays)
+            if dm.source.rank * group.order <= 24:
+                assert got == bar_kernel(dm), (group.name, fan.rays)
+            checked += 1
+            nontrivial += not got.is_trivial
+    assert checked == 22 and nontrivial >= 5
+
+
+def _rotation_fan(vectors, extra=()):
+    """C4 rotating the first two coordinates; rays the orbits of the vectors."""
+    c4 = cyclic_group(4)
+    rank = len(vectors[0])
+    rotate = [[0, -1], [1, 0]]
+    gen = IntMatrix([[rotate[i][j] if i < 2 and j < 2 else int(i == j)
+                      for j in range(rank)] for i in range(rank)])
+    action = [IntMatrix.identity(rank)]
+    for _ in range(3):
+        action.append(gen @ action[-1])
+    lattice = GLattice(c4, rank, tuple(action))
+    rays = [m.apply(v) for v in vectors for m in action] + list(extra)
+    return GFan(rank=rank, rays=tuple(rays),
+                cones=tuple([()] + [(i,) for i in range(len(rays))]),
+                action=lattice).require_valid()
+
+
+def test_wide_fans_answer_beyond_the_rank_limit():
+    # 20 rays in 5 free orbits: the ray lattice has rank 20 > RANK_LIMIT,
+    # but the Shapiro kernel computes no cohomology of it
+    orbits = [(1, 0), (1, 1), (2, 1), (1, 2), (3, 1)]
+    flat = _rotation_fan(orbits)
+    # rotation plus a trivial summand: H^2 = Z/4, which stays in the
+    # kernel over free orbits and dies on the fixed ray (0, 0, 1)
+    tall = _rotation_fan([v + (1,) for v in orbits])
+    fixed = _rotation_fan([v + (1,) for v in orbits], extra=[(0, 0, 1)])
+    for fan, want in ((flat, FinAbGroup.trivial()), (tall, FinAbGroup(0, (4,))),
+                      (fixed, FinAbGroup.trivial())):
+        assert len(fan.rays) > RANK_LIMIT
+        assert bar_kernel(divisor_map(fan)) == want
+        assert brauer_kernel(fan) == want
+        report = full_report(fan)
+        assert report.brauer_kernel == want
+        assert report.ray_orbit_summary[:5] == ((4, 1),) * 5
+    assert len(flat.rays) == 20 and flat.rank == 2
+
+
+def test_reports_never_build_a_bar_coboundary(monkeypatch):
+    def refuse(lattice, n):
+        raise AssertionError("the bar complex is a test oracle only")
+    monkeypatch.setattr(import_module("torika.cohomology"), "_coboundary_array", refuse)
+    for name in FIXTURE_NAMES:
+        full_report(load_fixture(name).fan)
+    with pytest.raises(AssertionError):
+        coboundary_matrix(SIGN, 1)
 
 
 def test_trivial_group_p1_power_5_has_kernel_zero():
@@ -418,7 +632,7 @@ def test_broken_action_names_first_failing_pair():
 
 def test_resource_limit_message_names_size_and_flag():
     with pytest.raises(ResourceLimitError,
-                       match=r"rank 17 exceeds the limit 16 \(d\^1 would be 68x34\); "
+                       match=r"rank 17 exceeds the limit 16 \(d\^1 would be 17x17\); "
                              r"raise it with rank_limit= or torika cohomology --rank-limit"):
         cohomology(trivial_lattice(C2, 17), 2)
     with pytest.raises(ResourceLimitError, match=r"order 13 exceeds the limit 12 .*--order-limit"):
@@ -429,12 +643,12 @@ def test_resource_limit_message_names_size_and_flag():
                     matrix=IntMatrix([[1]] + [[0]] * 16))
     with pytest.raises(ResourceLimitError) as info:
         kernel_of_h2_map(f)
-    assert "68x34" in str(info.value) and "raise" not in str(info.value)
+    assert "17x17" in str(info.value) and "raise" not in str(info.value)
     # nor has its source when the kernel computes it, as brauer_kernel does
     for compute in (kernel_of_h2_map, kernel_of_h2_map_via_presentations):
         with pytest.raises(ResourceLimitError) as info:
             compute(GLatticeMap(source=big, target=big, matrix=IntMatrix.identity(17)))
-        assert "68x34" in str(info.value) and "raise" not in str(info.value)
+        assert "17x17" in str(info.value) and "raise" not in str(info.value)
     rays = [tuple(int(i == j) for j in range(17)) for i in range(17)]
     fan = GFan(rank=17, rays=tuple(rays), cones=tuple([()] + [(i,) for i in range(17)]),
                action=trivial_lattice(trivial_group(), 17))
