@@ -3,10 +3,10 @@
 Cochains come from a presentation of G read off its Cayley graph (Fox,
 Free differential calculus I, Ann. Math. 57, 1953; Brown, Cohomology of
 Groups, II-III).  S is a generating set chosen from the table, and a
-1-cochain is a vector (f(s))_s in L^S.  A BFS spanning tree of the
-right Cayley graph writes each g as a word in S, so a crossed
-homomorphism has f(g) = E_g (f(s))_s with E_gs = E_g + g P_s along the
-tree.  d^1 has one block row E_g + g P_s - E_gs per edge off the tree,
+1-cochain is a vector (f(s))_s in L^S.  The BFS tree of the right
+Cayley graph (`FiniteGroup.cayley_walk`) writes each g as a word in S,
+so a crossed homomorphism has f(g) = E_g (f(s))_s with E_gs = E_g + g P_s
+along the tree.  d^1 has one block row E_g + g P_s - E_gs per edge off the tree,
 and d^0 x = (s x - x)_s.  H^1 is ker d^1 modulo im d^0.  H^2 needs no
 d^2: n = |G| kills H^1 and H^2, so 0 -> L -n-> L -> L/nL -> 0 gives
 H^2(G, L) = H^1(G, L/nL) / H^1(G, L) (Brown, III), whose cocycles are
@@ -16,7 +16,8 @@ Every result retains a basis of its cocycle lattice together with the
 boundary generators written in that basis, so maps induced on
 cohomology can be computed afterwards without re-deriving anything.
 The bar resolution survives only as `coboundary_matrix`, an independent
-route for checks.
+route for checks.  `GLattice` checks an action on the same graph's
+|G||S| edges, which implies the group law and unimodularity.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .linalg import (
     _cokernel_array,
     _coords_in_basis,
     _eye,
-    _is_unimodular,
     _kernel_array,
     _lattice_basis,
     _matmul,
@@ -55,9 +55,11 @@ RANK_LIMIT = 16
 class GLattice:
     """A free Z-module of finite rank with a linear action of a finite group.
 
-    `action[g]` is the unimodular matrix of the element g; the identity
-    must act as the identity matrix and the assignment must respect the
-    multiplication table.  All of this is verified on construction.
+    `action[g]` is the matrix of g.  Construction checks that e acts as
+    I and action[g] @ action[s] = action[gs] for every g and every s in
+    `_generating_set(group)`: by induction on word length that is the
+    group law, and g g^-1 = e then makes every matrix unimodular.  A
+    failure names the first failing pair (g, h) in row-major order.
     """
 
     group: FiniteGroup
@@ -76,15 +78,15 @@ class GLattice:
         for g, m in enumerate(mats):
             if m.shape != (self.rank, self.rank):
                 raise ValueError(f"action of element {g} is not {self.rank}x{self.rank}")
-            if not _is_unimodular(m):
-                raise ValueError(f"action of element {g} is not unimodular")
-        e = self.group.identity
-        if mats[e] != IntMatrix.identity(self.rank):
+        if mats[self.group.identity] != IntMatrix.identity(self.rank):
             raise ValueError("identity element must act as the identity matrix")
         acts = np.stack([m.array for m in mats])
-        products = np.matmul(acts[:, None], acts[None, :])
-        wrong = np.argwhere((products != acts[np.array(self.group.table)]).any(axis=(2, 3)))
-        if len(wrong):
+        table = np.array(self.group.table)
+        gens = list(_generating_set(self.group))
+        edges = np.matmul(acts[:, None], acts[gens][None, :])
+        if (edges != acts[table[:, gens]]).any():
+            products = np.matmul(acts[:, None], acts[None, :])
+            wrong = np.argwhere((products != acts[table]).any(axis=(2, 3)))
             raise ValueError("action is not a homomorphism at ({}, {})".format(*wrong[0]))
 
     def act(self, g) -> IntMatrix:
@@ -218,9 +220,9 @@ def _cayley_complex(lattice: GLattice):
     """(gens, paths, d1) of the presentation read off the Cayley graph.
 
     `paths[g]` is E_g, the rank x rank*|S| matrix with f(g) = E_g @ f for
-    a crossed homomorphism f = (f(s))_s, built along a BFS tree of the
-    right Cayley graph; `d1` stacks E_g + g P_s - E_gs over the edges
-    (g, s) off the tree, one rank-row block each.
+    a crossed homomorphism f = (f(s))_s, built along the tree edges of
+    `FiniteGroup.cayley_walk`; `d1` stacks E_g + g P_s - E_gs over the
+    edges (g, s) off the tree, one rank-row block each.
     """
     group = lattice.group
     gens = _generating_set(group)
@@ -229,17 +231,13 @@ def _cayley_complex(lattice: GLattice):
     paths = [None] * group.order
     paths[group.identity] = np.zeros((rank, rank * len(gens)), dtype=object)
     relations = []
-    queue = [group.identity]
-    for g in queue:
-        for j, s in enumerate(gens):
-            step = paths[g].copy()
-            step[:, j * rank:(j + 1) * rank] += acts[g]
-            h = group.table[g][s]
-            if paths[h] is None:
-                paths[h] = step
-                queue.append(h)
-            else:
-                relations.append(step - paths[h])
+    for g, j, h, tree in group.cayley_walk(gens):
+        step = paths[g].copy()
+        step[:, j * rank:(j + 1) * rank] += acts[g]
+        if tree:
+            paths[h] = step
+        else:
+            relations.append(step - paths[h])
     return gens, paths, _stack(relations, rank * len(gens))
 
 
@@ -481,24 +479,24 @@ def kernel_of_h2_map_via_presentations(
                               induced.source.boundaries.array)
 
 
-def _shapiro_kernel(fmap: GLatticeMap, orbits) -> FinAbGroup:
+def _shapiro_kernel(lattice: GLattice, rows, orbits) -> FinAbGroup:
     """Kernel of H^2(G, L) -> H^2(G, Z^X) for a map into a permutation lattice.
 
-    `orbits` lists the G-orbits of the basis X of the target, each with
-    the stabilizer H_i of its first member x_i, so Z^X = sum Z[G/H_i].
+    `rows` is the matrix of the map, whose equivariance the caller
+    vouches for (`validate_fan` proves it for a fan's rays); `orbits`
+    lists the G-orbits of X, each with the stabilizer H_i of its first
+    member x_i, so Z^X = sum Z[G/H_i].
     H^1(G, Z[G/H_i]) = Hom(H_i, Z) = 0, so H^2(G, Z[G/H_i]) is
     H^1(G, Z/n[G/H_i]), which Shapiro's lemma identifies with
     Hom(H_i, Z/n) by restricting a cocycle to H_i and reading its x_i
     coordinate.  A source cocycle f is therefore in the kernel exactly
     when (row x_i of the matrix) @ E_h @ f = 0 mod n for each generator h
-    of each H_i: no cohomology of the target is computed.
+    of each H_i: the target lattice is never built.
     """
-    lattice = fmap.source
     _check_limits(lattice, ORDER_LIMIT, RANK_LIMIT, raisable=False)
     group = lattice.group
     _, paths, d1 = _cayley_complex(lattice)
     r1 = _h2_result(lattice, d1)
-    rows = fmap.matrix.array
     tests = _stack([_matmul(rows[orbit[:1], :], paths[h])
                     for orbit, stab in orbits
                     for h in _generating_set(group, stab.elements)], d1.shape[1])

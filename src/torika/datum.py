@@ -106,11 +106,12 @@ def build_group(spec) -> FiniteGroup:
 def _complete_generator_action(group, rank, gens):
     """Extend matrices given on generators to the whole group.
 
-    Walks products of known elements until the group is exhausted;
-    reports the first element whose matrix is forced to two different
-    values, or the elements that the generators never reach.
+    Along a BFS of their Cayley graph (`FiniteGroup.cayley_walk`), a tree
+    edge (g, s) sets the matrix of g*s to that of g times that of s and
+    any other edge checks it; reports the first element forced to two
+    different values, or the elements that the generators never reach.
     """
-    known = {group.identity: IntMatrix.identity(rank)}
+    given = {group.identity: IntMatrix.identity(rank)}
     for key, mat in gens.items():
         try:
             g = int(key)
@@ -123,24 +124,20 @@ def _complete_generator_action(group, rank, gens):
         if not _is_unimodular(matrix):
             raise DatumError(f"field 'action': the matrix for element {g} "
                              f"is not unimodular")
-        if g in known and known[g] != matrix:
+        if g in given and given[g] != matrix:
             raise DatumError(f"field 'action': element {g} is assigned "
                              f"two different matrices")
-        known[g] = matrix
-    grew = True
-    while grew:
-        grew = False
-        for a in list(known):
-            for b in list(known):
-                c = group.mul(a, b)
-                product = known[a] @ known[b]
-                if c not in known:
-                    known[c] = product
-                    grew = True
-                elif known[c] != product:
-                    raise DatumError(
-                        f"field 'action': the generator matrices force two "
-                        f"different values at element {c}")
+        given[g] = matrix
+    steps = [g for g in given if g != group.identity]
+    known = {group.identity: given[group.identity]}
+    for g, j, h, tree in group.cayley_walk(steps):
+        product = known[g] @ given[steps[j]]
+        if tree:
+            known[h] = product
+        elif known[h] != product:
+            raise DatumError(
+                f"field 'action': the generator matrices force two "
+                f"different values at element {h}")
     if len(known) != group.order:
         missing = sorted(set(group.elements()) - set(known))
         raise DatumError(f"field 'action': generators do not generate the "
@@ -163,6 +160,9 @@ def build_action(group, rank, spec) -> GLattice:
                  f"({group.order} expected)")
         matrices = tuple(_parse_matrix(m, rank, f"field 'action' element {g}")
                          for g, m in enumerate(spec))
+        for g, m in enumerate(matrices):
+            _require(_is_unimodular(m),
+                     f"field 'action': action of element {g} is not unimodular")
     try:
         return GLattice(group, rank, matrices)
     except ValueError as exc:

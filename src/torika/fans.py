@@ -169,22 +169,12 @@ class GFan:
         Valid fans only; see the module-level ray_orbits.
         """
         perms = self.ray_permutations()
-        unseen = set(range(len(self.rays)))
         out = []
-        while unseen:
-            start = min(unseen)
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                i = frontier.pop()
-                for perm in perms:
-                    j = perm[i]
-                    if j not in orbit:
-                        orbit.add(j)
-                        frontier.append(j)
-            unseen -= orbit
-            stab = [g for g in self.group.elements() if perms[g][start] == start]
-            out.append((tuple(sorted(orbit)), Subgroup(self.group, tuple(stab))))
+        for start in range(len(self.rays)):
+            orbit = tuple(sorted({perm[start] for perm in perms}))
+            if orbit[0] == start:  # each orbit once, from its least ray
+                stab = [g for g in self.group.elements() if perms[g][start] == start]
+                out.append((orbit, Subgroup(self.group, tuple(stab))))
         return tuple(out)
 
     def max_ray_norm(self):

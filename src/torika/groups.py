@@ -3,7 +3,8 @@
 Elements are the indices 0..order-1; a group is its Cayley table.  This
 is all the generality the rest of the package needs, and it keeps every
 check (associativity, closure, stabilizers) exact and cheap for the
-small groups that occur as splitting groups.
+small groups that occur as splitting groups.  `cayley_walk` is the one
+walk from generators; subgroups, presentations and actions all read it.
 """
 
 from __future__ import annotations
@@ -99,18 +100,27 @@ class FiniteGroup:
     def full_subgroup(self) -> "Subgroup":
         return self.subgroup(range(self.order))
 
-    def generated_subgroup(self, generators) -> "Subgroup":
+    def cayley_walk(self, generators):
+        """The edges (g, j, g*generators[j], tree) of the right Cayley graph.
+
+        A breadth-first walk from the identity; `tree` marks the edge that
+        first reaches its end, so the tree edges span the generated subgroup.
+        """
+        gens = tuple(generators)
+        queue = [self.identity]
         seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(generators)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                for y in (self.table[x][g], self.table[g][x]):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        return self.subgroup(seen)
+        for g in queue:
+            for j, s in enumerate(gens):
+                h = self.table[g][s]
+                tree = h not in seen
+                if tree:
+                    seen.add(h)
+                    queue.append(h)
+                yield g, j, h, tree
+
+    def generated_subgroup(self, generators) -> "Subgroup":
+        return self.subgroup([self.identity] + [
+            h for _, _, h, tree in self.cayley_walk(generators) if tree])
 
     def cyclic_subgroups(self):
         """All cyclic subgroups, each listed once, smallest first."""

@@ -16,7 +16,7 @@ from .cohomology import _shapiro_kernel
 from .errors import StageError, TorikaError
 from .fans import GFan, is_smooth, orbit_count, ray_orbits
 from .linalg import FinAbGroup, cokernel
-from .structure import (divisor_map, is_pure_divisorial,
+from .structure import (character_lattice, is_pure_divisorial,
                         pure_divisorial_truncation, ray_matrix,
                         tropical_int_check)
 
@@ -39,16 +39,17 @@ def brauer_kernel(fan: GFan) -> FinAbGroup:
 
     Computed as the kernel of the map induced on H^2 by the divisor
     character map M -> Z^rays, by Shapiro restriction to the stabilizer
-    of one ray per orbit, so no cohomology of Z^rays is computed.  With
-    no rays at all this is the whole of H^2(G, M), the Brauer group of
-    the bare torus at this level.
+    of one ray per orbit.  The map is the ray matrix, equivariant as the
+    valid fan's rays are permuted exactly, so Z^rays is never built.
+    With no rays this is all of H^2(G, M), the bare torus's Brauer group.
     """
     fan.require_valid()
     if not is_pure_divisorial(fan):
         raise ValueError("the Brauer kernel expects a pure divisorial fan")
     if not is_smooth(fan):
         raise ValueError("the Brauer kernel expects a smooth fan")
-    return _shapiro_kernel(divisor_map(fan), ray_orbits(fan))
+    return _shapiro_kernel(character_lattice(fan), ray_matrix(fan).array,
+                           ray_orbits(fan))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ The random constructions here are the independent source of test
 inputs: unimodular matrices as products of shears, cyclic-group
 lattices assembled from blocks of the right multiplicative order, and
 equivariant maps obtained by averaging an arbitrary matrix over the
-group.
+group.  D4, Q8, A4 and C2xC4 come as explicit tables that are no preset.
 """
 
 import random
+from itertools import combinations, permutations
 from pathlib import Path
 
 from torika.cohomology import GLattice, GLatticeMap
@@ -33,6 +34,38 @@ PURE_DIVISORIAL_FIXTURES = [
 TRIVIAL_GROUP_FIXTURES = [
     "nfamily_n0", "nfamily_n1", "nfamily_n2", "nfamily_n3",
     "nfamily_n4", "nfamily_n5", "p1", "p2", "a2", "a2_minus_origin",
+]
+
+
+def _table_group(name, elements, mul):
+    index = {x: i for i, x in enumerate(elements)}
+    return FiniteGroup(len(elements), tuple(
+        tuple(index[mul(x, y)] for y in elements) for x in elements), name=name)
+
+
+def _compose(p, q):
+    return tuple(p[x] for x in q)
+
+
+def _quaternion(p, q):
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+# tables that are no preset: each needs two generators, and D4, Q8 and A4
+# have non-abelian relators
+EXPLICIT_GROUPS = [
+    _table_group("D4", [tuple((k + s * x) % 4 for x in range(4))
+                        for s in (1, -1) for k in range(4)], _compose),
+    _table_group("Q8", [tuple(s * (i == j) for j in range(4))
+                        for i in range(4) for s in (1, -1)], _quaternion),
+    _table_group("A4", [p for p in permutations(range(4))
+                        if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0],
+                 _compose),
+    _table_group("C2xC4", [(a, b) for a in range(2) for b in range(4)],
+                 lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 4)),
 ]
 
 

@@ -12,7 +12,6 @@ generating set and spanning tree the presentation is read from.
 
 import random
 from importlib import import_module
-from itertools import combinations, permutations
 from math import gcd
 
 import numpy as np
@@ -29,17 +28,18 @@ from torika.cohomology import (RANK_LIMIT, GLattice, GLatticeMap,
 from torika.errors import (IncompatibleModulesError, ResourceLimitError,
                            UnsupportedGroupError)
 from torika.fans import GFan
-from torika.groups import (FiniteGroup, cyclic_group, klein_four_group,
-                           symmetric_group_3, trivial_group)
+from torika.groups import (GROUP_PRESETS, FiniteGroup, cyclic_group,
+                           group_preset, klein_four_group, symmetric_group_3,
+                           trivial_group)
 from torika.invariants import brauer_kernel, full_report
 from torika.linalg import (FinAbGroup, IntMatrix, _cokernel_array,
-                           _coords_in_basis, _kernel_array, _smith,
-                           _unimodular_inverse)
+                           _coords_in_basis, _is_unimodular, _kernel_array,
+                           _smith, _unimodular_inverse)
 from torika.structure import (divisor_map, pure_divisorial_truncation,
                               standard_fan)
 
-from conftest import (FIXTURE_NAMES, cyclic_lattice, load_fixture,
-                      rand_unimodular, random_equivariant_map)
+from conftest import (EXPLICIT_GROUPS, FIXTURE_NAMES, cyclic_lattice,
+                      load_fixture, rand_unimodular, random_equivariant_map)
 
 C2 = cyclic_group(2)
 SIGN = GLattice(C2, 1, (IntMatrix.identity(1), IntMatrix([[-1]])))
@@ -337,38 +337,6 @@ DIFFERENTIAL_GROUPS = [cyclic_group(n) for n in (2, 3, 4, 5, 6)] + [
     klein_four_group(), symmetric_group_3()]
 
 
-def _table_group(name, elements, mul):
-    index = {x: i for i, x in enumerate(elements)}
-    return FiniteGroup(len(elements), tuple(
-        tuple(index[mul(x, y)] for y in elements) for x in elements), name=name)
-
-
-def _compose(p, q):
-    return tuple(p[x] for x in q)
-
-
-def _quaternion(p, q):
-    a, b, c, d = p
-    e, f, g, h = q
-    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
-
-
-# tables that are no preset: each needs two generators, and D4, Q8 and A4
-# have non-abelian relators
-EXPLICIT_GROUPS = [
-    _table_group("D4", [tuple((k + s * x) % 4 for x in range(4))
-                        for s in (1, -1) for k in range(4)], _compose),
-    _table_group("Q8", [tuple(s * (i == j) for j in range(4))
-                        for i in range(4) for s in (1, -1)], _quaternion),
-    _table_group("A4", [p for p in permutations(range(4))
-                        if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0],
-                 _compose),
-    _table_group("C2xC4", [(a, b) for a in range(2) for b in range(4)],
-                 lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 4)),
-]
-
-
 def _relabeled(rng, lattice):
     """The same lattice over the same group, its elements relabeled at random.
 
@@ -628,6 +596,99 @@ def test_broken_action_names_first_failing_pair():
             with pytest.raises(ValueError,
                                match=rf"not a homomorphism at \({first[0]}, {first[1]}\)"):
                 GLattice(group, len(mats[0].row(0)), tuple(mats))
+
+
+def _all_pairs_check(group, rank, mats):
+    """The former GLattice check: a determinant per element, then all pairs.
+
+    Returns the message of the first failure, or None for a valid action.
+    """
+    for g, m in enumerate(mats):
+        if m.shape != (rank, rank):
+            return f"action of element {g} is not {rank}x{rank}"
+        if not _is_unimodular(m):
+            return f"action of element {g} is not unimodular"
+    if mats[group.identity] != IntMatrix.identity(rank):
+        return "identity element must act as the identity matrix"
+    for a in group.elements():
+        for b in group.elements():
+            if mats[a] @ mats[b] != mats[group.mul(a, b)]:
+                return f"action is not a homomorphism at ({a}, {b})"
+    return None
+
+
+def _corrupted_actions(rng, lattice):
+    """The action itself, then copies with one matrix swapped for another
+    unimodular matrix or with one entry changed."""
+    mats, rank = list(lattice.action), lattice.rank
+    yield mats
+    for _ in range(4):
+        g = rng.randrange(len(mats))
+        other = (mats[rng.randrange(len(mats))] if rng.random() < 0.5
+                 else rand_unimodular(rng, rank))
+        yield mats[:g] + [other] + mats[g + 1:]
+        rows = mats[g].to_rows()
+        rows[rng.randrange(rank)][rng.randrange(rank)] += rng.choice((-2, -1, 1, 2))
+        yield mats[:g] + [IntMatrix(rows)] + mats[g + 1:]
+
+
+def test_edge_check_agrees_with_all_pairs_check():
+    rng = random.Random(20261020)
+    groups = [group_preset(name) for name in sorted(GROUP_PRESETS)] + EXPLICIT_GROUPS
+    kinds = {"valid": 0, "pair": 0, "other": 0}
+    for group in groups:
+        for _ in range(4):
+            lattice = random_lattice(rng, group, 3)
+            for mats in _corrupted_actions(rng, lattice):
+                want = _all_pairs_check(group, lattice.rank, mats)
+                if want is None:
+                    GLattice(group, lattice.rank, tuple(mats))
+                    kinds["valid"] += 1
+                    continue
+                with pytest.raises(ValueError) as info:
+                    GLattice(group, lattice.rank, tuple(mats))
+                if "homomorphism" in want:
+                    assert str(info.value) == want, group.name
+                    kinds["pair"] += 1
+                else:
+                    kinds["other"] += 1
+    assert kinds["valid"] >= 48 and kinds["pair"] >= 100 and kinds["other"] >= 100, kinds
+
+
+def test_nonunimodular_action_is_refused_at_its_failing_pair():
+    rng = random.Random(31)
+    checked = 0
+    for group in (C2, cyclic_group(4), symmetric_group_3(), EXPLICIT_GROUPS[1]):
+        for _ in range(3):
+            lattice = random_lattice(rng, group, 3)
+            mats = list(lattice.action)
+            g = rng.choice([x for x in group.elements() if x != group.identity])
+            mats[g] = IntMatrix([[2 * x for x in mats[g].row(0)]]
+                                + mats[g].to_rows()[1:])
+            assert not _is_unimodular(mats[g])
+            first = next((a, b) for a in group.elements() for b in group.elements()
+                         if mats[a] @ mats[b] != mats[group.mul(a, b)])
+            with pytest.raises(ValueError,
+                               match=rf"not a homomorphism at \({first[0]}, {first[1]}\)"):
+                GLattice(group, lattice.rank, tuple(mats))
+            checked += 1
+    with pytest.raises(ValueError, match=r"not a homomorphism at \(1, 1\)"):
+        GLattice(C2, 1, (IntMatrix.identity(1), IntMatrix([[2]])))
+    assert checked == 12
+
+
+def test_valid_actions_take_no_determinant(monkeypatch):
+    data = [load_fixture(name).fan for name in FIXTURE_NAMES]
+
+    def refuse(m):
+        raise AssertionError("the group law implies unimodularity")
+    monkeypatch.setattr(import_module("torika.linalg"), "_det", refuse)
+    rng = random.Random(12)
+    for group in DIFFERENTIAL_GROUPS + EXPLICIT_GROUPS:
+        lattice = random_lattice(rng, group, 4)
+        assert GLattice(group, lattice.rank, lattice.action) == lattice
+    for fan in data:
+        full_report(fan)
 
 
 def test_resource_limit_message_names_size_and_flag():

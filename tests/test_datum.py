@@ -2,6 +2,7 @@
 
 import json
 import time
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,44 @@ def test_generator_action_completion_klein():
         path = fh.name
     datum = load_datum(path)
     assert datum.action.act(3) == IntMatrix([[-1, 0], [0, -1]])
+
+
+def _s3_permutation_doc(action):
+    """S3 permuting the coordinates of Z^3, with the coordinate rays."""
+    return {"group": "S3", "lattice_rank": 3, "action": action,
+            "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "max_cones": [[0], [1], [2]]}
+
+
+def _permutation_matrix(p):
+    return [[int(p[j] == i) for j in range(3)] for i in range(3)]
+
+
+def test_generator_action_completion_two_generators(tmp_path):
+    # S3 lists the permutations of {0, 1, 2} lexicographically; the
+    # transpositions 1 = (1 2) and 2 = (0 1) generate it
+    perms = list(permutations(range(3)))
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(_s3_permutation_doc(
+        [_permutation_matrix(p) for p in perms])))
+    generated = tmp_path / "generated.json"
+    generated.write_text(json.dumps(_s3_permutation_doc(
+        {"generators": {"1": _permutation_matrix(perms[1]),
+                        "2": _permutation_matrix(perms[2])}})))
+    want = load_datum(str(listed)).action
+    assert load_datum(str(generated)).action == want
+    assert [want.act(g).to_rows() for g in range(6)] == [
+        _permutation_matrix(p) for p in perms]
+    # -P still squares to I, but (1 2)(0 1) no longer has order 3
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(_s3_permutation_doc(
+        {"generators": {"1": _permutation_matrix(perms[1]),
+                        "2": [[-x for x in row]
+                              for row in _permutation_matrix(perms[2])]}})))
+    with pytest.raises(DatumError,
+                       match=r"the generator matrices force two different "
+                             r"values at element \d+$"):
+        load_datum(str(broken))
 
 
 @pytest.mark.parametrize("name,fragment", [

@@ -1,11 +1,17 @@
 """Finite groups given by multiplication tables, and their subgroups."""
 
+from itertools import combinations
+
 import pytest
 
 from torika.errors import MalformedGroupError, MalformedSubgroupError
 from torika.groups import (GROUP_PRESETS, FiniteGroup, Subgroup, cyclic_group,
                            group_preset, klein_four_group, symmetric_group_3,
                            trivial_group)
+
+from conftest import EXPLICIT_GROUPS
+
+ALL_GROUPS = [group_preset(name) for name in sorted(GROUP_PRESETS)] + EXPLICIT_GROUPS
 
 
 def test_presets():
@@ -97,3 +103,43 @@ def test_subgroup_contains():
 def test_trivial_group():
     t = trivial_group()
     assert t.order == 1 and t.identity == 0 and t.is_cyclic()
+
+
+def _two_sided_closure(group, gens):
+    """The former generated_subgroup: a search multiplying on both sides."""
+    seen = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            for y in (group.mul(x, g), group.mul(g, x)):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return tuple(sorted(seen))
+
+
+def test_generated_subgroup_matches_two_sided_closure():
+    checked = 0
+    for group in ALL_GROUPS:
+        for k in range(3):
+            for gens in combinations(group.elements(), k):
+                assert (group.generated_subgroup(gens).elements
+                        == _two_sided_closure(group, gens)), (group.name, gens)
+                checked += 1
+    assert checked == sum(1 + g.order + g.order * (g.order - 1) // 2 for g in ALL_GROUPS)
+
+
+def test_cayley_walk_is_breadth_first_with_a_spanning_tree():
+    for group in ALL_GROUPS:
+        for k in range(3):
+            for gens in combinations(group.elements(), k):
+                edges = list(group.cayley_walk(gens))
+                order = [group.identity] + [h for _, _, h, tree in edges if tree]
+                assert len(set(order)) == len(order)
+                # every reached element, in order of discovery, has its |S|
+                # edges in turn, each ending at g * s
+                assert [(g, j) for g, j, _, _ in edges] == [
+                    (g, j) for g in order for j in range(k)]
+                assert all(h == group.mul(g, gens[j]) for g, j, h, _ in edges)
+                assert tuple(sorted(order)) == _two_sided_closure(group, gens)

@@ -1,6 +1,9 @@
 """Class groups, Brauer kernels and the aggregated report."""
 
 import random
+from importlib import import_module
+from itertools import product
+from math import gcd
 
 import pytest
 
@@ -159,3 +162,55 @@ def test_stage_error_annotation():
         full_report(bare, 3)
     assert err.value.stage == "Brauer kernel"
     assert isinstance(err.value.original, ResourceLimitError)
+
+
+def test_brauer_kernel_builds_no_ray_lattice(monkeypatch):
+    # the divisor map's equivariance is what validate_fan proves, so the
+    # kernel reads the ray matrix and orbits of the validated fan
+    fans = [pure_divisorial_truncation(load_fixture(name).fan)
+            for name in FIXTURE_NAMES]
+    want = [kernel_of_h2_map(divisor_map(fan)) for fan in fans]
+
+    def refuse(fan):
+        raise AssertionError("the Brauer kernel builds no ray permutation lattice")
+    for module in ("torika.structure", "torika.invariants"):
+        for name in ("divisor_map", "ray_permutation_lattice"):
+            if hasattr(import_module(module), name):
+                monkeypatch.setattr(import_module(module), name, refuse)
+    for name, fan, kernel in zip(FIXTURE_NAMES, fans, want):
+        assert brauer_kernel(fan) == kernel, name
+        assert full_report(load_fixture(name).fan).brauer_kernel == kernel, name
+
+
+def _phi12_fan():
+    """C12 acting on Z^4 by the companion matrix of x^4 - x^2 + 1.
+
+    No power g^k, 0 < k < 12, fixes a nonzero vector (its eigenvalues are
+    primitive 12th roots of unity raised to k), so every orbit is free;
+    the rays are 8 orbits of small vectors, 96 in all, and the cones are
+    the rays.
+    """
+    gen = IntMatrix([[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
+    action = [IntMatrix.identity(4)]
+    for _ in range(11):
+        action.append(gen @ action[-1])
+    rays = []
+    for v in sorted(product((-1, 0, 1), repeat=4), key=lambda v: (sum(map(abs, v)), v)):
+        if len(rays) < 96 and any(v) and gcd(*v) == 1 and v not in rays:
+            rays += [m.apply(v) for m in action]
+    lattice = GLattice(cyclic_group(12), 4, tuple(action))
+    return GFan(rank=4, rays=tuple(rays),
+                cones=tuple([()] + [(i,) for i in range(len(rays))]),
+                action=lattice).require_valid()
+
+
+def test_wide_phi12_fan_answers():
+    fan = _phi12_fan()
+    assert len(fan.rays) == 96
+    # trivial stabilizers leave no restriction test: the kernel is all of H^2
+    h2 = cohomology(character_lattice(fan), 2).group
+    assert brauer_kernel(fan) == h2
+    report = full_report(fan)
+    assert report.ray_orbit_summary == ((12, 1),) * 8
+    assert report.brauer_kernel == h2
+    assert report.class_group.free_rank == 92
