@@ -13,8 +13,9 @@ import json
 import sys
 
 from .cohomology import ORDER_LIMIT, RANK_LIMIT, cohomology
-from .datum import build_action, datum_from_fan, dump_datum, load_datum
-from .errors import TorikaError
+from .datum import (_as_int, _require, build_action, datum_from_fan,
+                    dump_datum, load_datum)
+from .errors import DatumError, TorikaError
 from .fans import is_smooth_cone, validate_fan
 from .groups import GROUP_PRESETS, group_preset
 from .invariants import full_report
@@ -125,17 +126,31 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+def _inline_lattice(args):
+    """The --lattice JSON as a GLattice; every refusal names --lattice."""
+    if args.splitting_group is None:
+        raise TorikaError("--lattice needs --splitting-group")
+    try:
+        spec = json.loads(args.lattice)
+    except json.JSONDecodeError as exc:
+        raise TorikaError(f"--lattice is not valid JSON: {exc}") from None
+    _require(isinstance(spec, dict) and "rank" in spec,
+             '--lattice expects {"rank": n, "action": ...}')
+    unknown = sorted(set(spec) - {"rank", "action"})
+    _require(not unknown, f"--lattice has unknown keys {unknown}")
+    rank = _as_int(spec["rank"], "--lattice field 'rank'")
+    _require(rank >= 0, f"--lattice field 'rank' must be nonnegative, got {rank}")
+    try:
+        return build_action(group_preset(args.splitting_group), rank,
+                            spec.get("action"))
+    except DatumError as exc:
+        raise TorikaError(f"--lattice: {exc}") from None
+
+
 def _cmd_cohomology(args) -> int:
     jobs = []
     if args.lattice is not None:
-        if args.splitting_group is None:
-            raise TorikaError("--lattice needs --splitting-group")
-        spec = json.loads(args.lattice)
-        if not isinstance(spec, dict) or "rank" not in spec:
-            raise TorikaError('--lattice expects {"rank": n, "action": ...}')
-        group = group_preset(args.splitting_group)
-        lattice = build_action(group, int(spec["rank"]), spec.get("action"))
-        jobs.append(("<inline>", lattice))
+        jobs.append(("<inline>", _inline_lattice(args)))
     for path in args.files:
         datum = load_datum(path, normalize_rays=args.normalize_rays)
         jobs.append((path, character_lattice(datum.fan)))

@@ -7,14 +7,17 @@ Groups, II-III).  S is a generating set chosen from the table, and a
 Cayley graph (`FiniteGroup.cayley_walk`) writes each g as a word in S,
 so a crossed homomorphism has f(g) = E_g (f(s))_s with E_gs = E_g + g P_s
 along the tree.  d^1 has one block row E_g + g P_s - E_gs per edge off the tree,
-and d^0 x = (s x - x)_s.  H^1 is ker d^1 modulo im d^0.  H^2 needs no
+and d^0 x = (s x - x)_s.  H^0 is ker d^0, and one Smith form
+s = u d^1 v, w = v^-1, presents both finite groups.  H^1 is ker d^1,
+spanned by the columns of v past the rank r, modulo im d^0, whose
+coordinates in that basis are the rows of w d^0 past r.  H^2 needs no
 d^2: n = |G| kills H^1 and H^2, so 0 -> L -n-> L -> L/nL -> 0 gives
 H^2(G, L) = H^1(G, L/nL) / H^1(G, L) (Brown, III), whose cocycles are
 the f in L^S with d^1 f = 0 mod n and whose boundaries are
-Z^1 + n L^S; one Smith form of d^1 presents both.
+Z^1 + n L^S: in the coordinates w f both are diagonal conditions.
 Every result retains a basis of its cocycle lattice together with the
-boundary generators written in that basis, so maps induced on
-cohomology can be computed afterwards without re-deriving anything.
+boundary generators written in that basis, and a degree-2 result keeps
+w, so maps induced on H^2 read target coordinates by one product.
 The bar resolution survives only as `coboundary_matrix`, an independent
 route for checks.  `GLattice` checks an action on the same graph's
 |G||S| edges, which implies the group law and unimodularity.
@@ -22,7 +25,7 @@ route for checks.  `GLattice` checks an action on the same graph's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
 
@@ -179,7 +182,9 @@ class CohomologyResult:
     `boundaries` expresses the coboundary generators in that basis, so
     the group is Z^k modulo its column span.  For degree 2 both live in
     L^S: the cocycles are the f with d^1 f = 0 mod |G|, the boundaries
-    generate Z^1 + |G| L^S, and the boundary matrix is diagonal.
+    generate Z^1 + |G| L^S, and the boundary matrix is diagonal.  Degree 2
+    also keeps `_coords` = (w, lifts) from the Smith form of d^1: a
+    cocycle f has coordinates (w @ f) / lifts in the `cocycles` basis.
     """
 
     degree: int
@@ -187,6 +192,7 @@ class CohomologyResult:
     group: FinAbGroup
     cocycles: IntMatrix
     boundaries: IntMatrix
+    _coords: tuple = field(default=None, repr=False, compare=False)
 
 
 def _generating_set(group: FiniteGroup, elements=None):
@@ -286,39 +292,41 @@ def coboundary_matrix(lattice: GLattice, n: int) -> IntMatrix:
     return IntMatrix.from_array(_coboundary_array(lattice, n))
 
 
-def _invariants_basis(lattice: GLattice):
-    """Basis of the fixed sublattice L^G, as array columns."""
+def _d0(lattice: GLattice, gens):
+    """d^0 x = (s x - x)_s over the generators, a rank*|S| x rank array."""
     acts = lattice.action_arrays()
     eye = _eye(lattice.rank)
-    stacked = [acts[g] - eye for g in lattice.group.elements() if g != lattice.group.identity]
-    if not stacked:
-        return _eye(lattice.rank)
-    return _kernel_array(np.concatenate(stacked, axis=0))
+    return _stack([acts[s] - eye for s in gens], lattice.rank)
 
 
 def _shifted_basis(d1, n):
-    """(v, w, lifts, orders) from one Smith form s = u @ d^1 @ v, w = v^-1.
+    """(v, w, rank, lifts, orders) from one Smith form s = u @ d^1 @ v, w = v^-1.
 
-    In the coordinates y = w @ f, f is a cocycle mod n exactly when each
-    y[i] is divisible by lifts[i], and lies in Z^1 + n L^S exactly when
-    each y[i] is divisible by lifts[i] * orders[i]: H^2 = sum Z/orders[i].
+    ker d^1 is spanned by v[:, rank:], in which a cocycle f has
+    coordinates (w @ f)[rank:].  In the coordinates y = w @ f, f is a
+    cocycle mod n exactly when each y[i] is divisible by lifts[i], and
+    lies in Z^1 + n L^S exactly when each y[i] is divisible by
+    lifts[i] * orders[i]: H^2 = sum Z/orders[i].
     """
     s, _, v, w = _smith(_nonredundant_rows(d1), want_v=True)
     diag = [s[i, i] if i < s.shape[0] else 0 for i in range(s.shape[1])]
     lifts = tuple(n // gcd(n, d) if d else 1 for d in diag)
     orders = tuple(gcd(n, d) if d else 1 for d in diag)
-    return v, w, lifts, orders
+    return v, w, len(diag) - diag.count(0), lifts, orders
 
 
 def _h2_result(lattice, d1) -> CohomologyResult:
     """H^2 of the lattice from the d^1 of its presentation."""
-    v, _, lifts, orders = _shifted_basis(d1, lattice.group.order)
+    v, w, _, lifts, orders = _shifted_basis(d1, lattice.group.order)
+    lifts = np.array(lifts, dtype=object)
+    w.flags.writeable = False
     return CohomologyResult(
         degree=2,
         coefficients=lattice,
         group=FinAbGroup(0, tuple(d for d in orders if d > 1)),
-        cocycles=IntMatrix.from_array(v * np.array(lifts, dtype=object)),
+        cocycles=IntMatrix.from_array(v * lifts),
         boundaries=IntMatrix.from_array(np.diag(np.array(orders, dtype=object))),
+        _coords=(w, lifts[:, None]),
     )
 
 
@@ -327,15 +335,15 @@ def cohomology(lattice: GLattice, degree: int, *,
                rank_limit: int = RANK_LIMIT) -> CohomologyResult:
     """H^degree(G, L) for degree 0, 1 or 2, with retained presentation.
 
-    H^0 is the fixed lattice (always free); H^1 and H^2 are finite and
-    come back in invariant-factor form.  H^2 is read off d^1 by the
-    dimension shift described in the module docstring.
+    H^0 = ker d^0 is the fixed lattice (always free) and builds no d^1,
+    so the size limits do not apply to it.  H^1 and H^2 are finite and
+    come back in invariant-factor form, both read off one Smith form of
+    d^1 as the module docstring describes.
     """
     if degree not in (0, 1, 2):
         raise ValueError("only degrees 0, 1 and 2 are supported")
-    _check_limits(lattice, order_limit, rank_limit)
     if degree == 0:
-        inv = _invariants_basis(lattice)
+        inv = _kernel_array(_d0(lattice, _generating_set(lattice.group)))
         k = inv.shape[1]
         return CohomologyResult(
             degree=0,
@@ -344,18 +352,17 @@ def cohomology(lattice: GLattice, degree: int, *,
             cocycles=IntMatrix.from_array(inv),
             boundaries=IntMatrix.zeros(k, 0),
         )
+    _check_limits(lattice, order_limit, rank_limit)
     gens, _, d1 = _cayley_complex(lattice)
     if degree == 2:
         return _h2_result(lattice, d1)
-    acts = lattice.action_arrays()
-    eye = _eye(lattice.rank)
-    z = _kernel_array(d1)
-    y = _coords_in_basis(z, _stack([acts[s] - eye for s in gens], lattice.rank))
+    v, w, rank, _, _ = _shifted_basis(d1, lattice.group.order)
+    y = _matmul(w[rank:], _d0(lattice, gens))
     return CohomologyResult(
         degree=1,
         coefficients=lattice,
         group=_cokernel_array(y),
-        cocycles=IntMatrix.from_array(z),
+        cocycles=IntMatrix.from_array(v[:, rank:]),
         boundaries=IntMatrix.from_array(y),
     )
 
@@ -374,21 +381,16 @@ def tate_cyclic_h2(lattice: GLattice) -> FinAbGroup:
     norm = np.zeros((lattice.rank, lattice.rank), dtype=object)
     for g in group.elements():
         norm += acts[g]
-    fixed = _invariants_basis(lattice)
+    fixed = _kernel_array(_d0(lattice, _generating_set(group)))
     y = _coords_in_basis(fixed, norm)
     return _cokernel_array(y)
 
 
 def _apply_blockwise(fmap: GLatticeMap, vectors, blocks):
     """Apply the coefficient map to each rank-block of stacked cochains."""
-    r_s = fmap.source.rank
-    r_t = fmap.target.rank
     cols = vectors.shape[1]
-    fmat = fmap.matrix.array
-    out = np.zeros((blocks * r_t, cols), dtype=object)
-    for b in range(blocks):
-        out[b * r_t:(b + 1) * r_t, :] = _matmul(fmat, vectors[b * r_s:(b + 1) * r_s, :])
-    return out
+    stacked = vectors.reshape(blocks, fmap.source.rank, cols)
+    return np.matmul(fmap.matrix.array, stacked).reshape(blocks * fmap.target.rank, cols)
 
 
 @dataclass(frozen=True)
@@ -422,14 +424,20 @@ def induced_h2_map(fmap: GLatticeMap,
     """The map H^2(G, source) -> H^2(G, target) induced by an equivariant map.
 
     The dimension shift is natural in the lattice, so the map acts on
-    the 1-cochains of the presentations, one block per generator.
+    the 1-cochains of the presentations, one block per generator.  An
+    image f(z) is a cocycle mod n, so its target coordinates
+    (w @ f(z)) / lifts are exact (`_shifted_basis`).
     """
     r1 = _h2_of(fmap.source, source_result)
     r2 = _h2_of(fmap.target, target_result)
     fz = _apply_blockwise(fmap, r1.cocycles.array,
                           len(_generating_set(fmap.source.group)))
-    w = _coords_in_basis(r2.cocycles.array, fz)
-    return InducedCohomologyMap(source=r1, target=r2, matrix=IntMatrix.from_array(w))
+    w, lifts = r2._coords
+    y = _matmul(w, fz)
+    if np.count_nonzero(y % lifts):
+        raise ValueError("an image is not a cocycle mod the group order")
+    return InducedCohomologyMap(source=r1, target=r2,
+                                matrix=IntMatrix.from_array(y // lifts))
 
 
 def _preimage_quotient(images, relations, boundaries) -> FinAbGroup:
@@ -446,18 +454,17 @@ def kernel_of_h2_map(fmap: GLatticeMap,
 
     A source class z is in the kernel exactly when f(z) lies in the
     target's Z^1 + n L^S: in the target's Smith coordinates y = w @ f(z)
-    (`_shifted_basis`), y[i] = 0 mod n wherever orders[i] > 1.  No
-    presentation of the target cohomology is built, but its d^1 is
-    put in Smith form; `brauer_kernel` needs neither (`_shapiro_kernel`).
+    (`_shifted_basis`, kept by `_h2_of(target)`), y[i] = 0 mod n
+    wherever orders[i] > 1.  `brauer_kernel` needs no target cohomology
+    at all (`_shapiro_kernel`).
     """
     r1 = _h2_of(fmap.source, source_result)
-    _check_limits(fmap.target, ORDER_LIMIT, RANK_LIMIT, raisable=False)
+    r2 = _h2_of(fmap.target, None)
     order = fmap.source.group.order
-    gens, _, d1 = _cayley_complex(fmap.target)
-    _, w, _, orders = _shifted_basis(d1, order)
-    tested = [i for i, d in enumerate(orders) if d > 1]
-    fz = _apply_blockwise(fmap, r1.cocycles.array, len(gens))
-    return _preimage_quotient(_matmul(w[tested, :], fz),
+    tested = [i for i, d in enumerate(r2.boundaries.array.diagonal()) if d > 1]
+    fz = _apply_blockwise(fmap, r1.cocycles.array,
+                          len(_generating_set(fmap.source.group)))
+    return _preimage_quotient(_matmul(r2._coords[0][tested, :], fz),
                               order * _eye(len(tested)),
                               r1.boundaries.array)
 

@@ -249,21 +249,9 @@ class FinAbGroup:
 
     def direct_sum(self, other):
         """Canonical form of the direct sum, recombining invariant factors."""
-        buckets = {}
-        for d in self.torsion + other.torsion:
-            for p, e in _factorize(d).items():
-                buckets.setdefault(p, []).append(e)
-        depth = max((len(v) for v in buckets.values()), default=0)
-        factors = []
-        for i in range(depth):
-            f = 1
-            for p, exps in buckets.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if i < len(exps_sorted):
-                    f *= p ** exps_sorted[i]
-            factors.append(f)
-        factors.reverse()
-        return FinAbGroup(self.free_rank + other.free_rank, tuple(factors))
+        torsion = np.diag(np.array(self.torsion + other.torsion, dtype=object))
+        return FinAbGroup(self.free_rank + other.free_rank,
+                          _cokernel_array(torsion).torsion)
 
     def __str__(self):
         parts = []
@@ -273,19 +261,6 @@ class FinAbGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " x ".join(parts) if parts else "0"
-
-
-def _factorize(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _find_pivot(s, k):

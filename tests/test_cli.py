@@ -139,6 +139,25 @@ def test_cohomology_lattice_without_group(capsys):
     assert "--splitting-group" in err
 
 
+@pytest.mark.parametrize("spec, says", [
+    ('{"rank": 2.7}', "field 'rank' must be an integer, got 2.7"),
+    ('{"rank": true}', "field 'rank' must be an integer, got True"),
+    ('{"rank": "2"}', "field 'rank' must be an integer, got '2'"),
+    ('{"rank": -1}', "field 'rank' must be nonnegative, got -1"),
+    ('{"rank": 1, "actoin": null}', "unknown keys ['actoin']"),
+    ('{"rank": 1', "is not valid JSON"),
+    ('[1]', 'expects {"rank": n, "action": ...}'),
+    ('{"rank": 1, "action": [[[2]], [[1]]]}', "action of element 0 is not unimodular"),
+])
+def test_cohomology_bad_inline_lattice_is_one_located_line(capsys, spec, says):
+    code, out, err = run(capsys, "cohomology", "--splitting-group", "C2",
+                         "--lattice", spec)
+    assert code == 1 and not out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("torika: --lattice"), err
+    assert says in lines[0], err
+
+
 def test_cohomology_no_input(capsys):
     code, out, err = run(capsys, "cohomology")
     assert code == 1

@@ -34,7 +34,7 @@ from torika.groups import (GROUP_PRESETS, FiniteGroup, cyclic_group,
 from torika.invariants import brauer_kernel, full_report
 from torika.linalg import (FinAbGroup, IntMatrix, _cokernel_array,
                            _coords_in_basis, _is_unimodular, _kernel_array,
-                           _smith, _unimodular_inverse)
+                           _matmul, _smith, _unimodular_inverse)
 from torika.structure import (divisor_map, pure_divisorial_truncation,
                               standard_fan)
 
@@ -158,6 +158,18 @@ def test_resource_limits():
     # overridable
     assert cohomology(trivial_lattice(cyclic_group(13), 1), 0,
                       order_limit=13).group == FinAbGroup.free(1)
+
+
+def test_h0_takes_no_size_guard():
+    # H^0 = ker d^0 builds no d^1, so the d^1 limits do not apply to it
+    assert cohomology(trivial_lattice(cyclic_group(13), 1), 0).group == FinAbGroup.free(1)
+    big = permutation_module(C2, C2.trivial_subgroup())
+    for _ in range(4):
+        big = big.direct_sum(big)
+    assert big.rank == 32 > RANK_LIMIT
+    assert cohomology(big, 0).group == FinAbGroup.free(16)
+    with pytest.raises(ResourceLimitError):
+        cohomology(big, 1)
 
 
 def test_glattice_map_validation():
@@ -570,6 +582,38 @@ def test_reports_never_build_a_bar_coboundary(monkeypatch):
         full_report(load_fixture(name).fan)
     with pytest.raises(AssertionError):
         coboundary_matrix(SIGN, 1)
+
+
+def test_cohomology_and_induced_maps_take_no_generic_solve(monkeypatch):
+    # H^0 is ker d^0; H^1, H^2 and induced H^2 maps read one Smith form of
+    # d^1, whose w gives coordinates without solving against a basis
+    def refuse(basis, targets):
+        raise AssertionError("cohomology reads coordinates off the Smith form")
+    monkeypatch.setattr(import_module("torika.cohomology"), "_coords_in_basis", refuse)
+    rng = random.Random(20261102)
+    groups = [group_preset(name) for name in sorted(GROUP_PRESETS)] + EXPLICIT_GROUPS
+    maps = nontrivial = 0
+    for group in groups:
+        for _ in range(3):
+            a, b = random_lattice(rng, group, 3), random_lattice(rng, group, 3)
+            h0 = cohomology(a, 0)
+            fixed = h0.cocycles.array
+            for m in a.action_arrays():
+                assert (m.dot(fixed) == fixed).all(), group.name
+            bar_fixed = _kernel_array(_coboundary_array(a, 0))
+            assert h0.group == FinAbGroup.free(bar_fixed.shape[1]), group.name
+            assert cohomology(a, 1).group == bar_h1(a), group.name
+            ra, rb = cohomology(a, 2), cohomology(b, 2)
+            assert ra.group == bar_shift_h2(a), group.name
+            f = random_equivariant_map(rng, a, b)
+            induced = induced_h2_map(f, ra, rb)
+            # the matrix holds the exact coordinates of f(z) in b's cocycle basis
+            gens = len(_cayley_complex(a)[0])
+            assert (_matmul(rb.cocycles.array, induced.matrix.array)
+                    == _apply_blockwise(f, ra.cocycles.array, gens)).all(), group.name
+            maps += 1
+            nontrivial += not (ra.group.is_trivial or rb.group.is_trivial)
+    assert maps == 3 * len(groups) and nontrivial >= 10
 
 
 def test_trivial_group_p1_power_5_has_kernel_zero():

@@ -141,6 +141,56 @@ def test_finabgroup_direct_sum():
     assert FinAbGroup(1, ()).direct_sum(FinAbGroup(2, (5,))) == FinAbGroup(3, (5,))
 
 
+def _regrouped_direct_sum(a, b):
+    """The former direct_sum: regroup the prime-power parts of both torsions."""
+    def factorize(n):
+        out, d = {}, 2
+        while d * d <= n:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            d += 1 if d == 2 else 2
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+    buckets = {}
+    for d in a.torsion + b.torsion:
+        for p, e in factorize(d).items():
+            buckets.setdefault(p, []).append(e)
+    depth = max((len(v) for v in buckets.values()), default=0)
+    factors = []
+    for i in range(depth):
+        f = 1
+        for p, exps in buckets.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if i < len(exps_sorted):
+                f *= p ** exps_sorted[i]
+        factors.append(f)
+    factors.reverse()
+    return FinAbGroup(a.free_rank + b.free_rank, tuple(factors))
+
+
+def _random_finabgroup(rng):
+    factors, d = [], 1
+    for _ in range(rng.randint(0, 4)):
+        d *= rng.choice((1, 2, 2, 3, 4, 5, 6, 7, 9, 12))
+        if d > 1:
+            factors.append(d)
+    return FinAbGroup(rng.randint(0, 2), tuple(factors))
+
+
+def test_direct_sum_matches_prime_power_regrouping():
+    rng = random.Random(20261101)
+    merged = 0
+    for _ in range(300):
+        a, b = _random_finabgroup(rng), _random_finabgroup(rng)
+        got = a.direct_sum(b)
+        assert got == _regrouped_direct_sum(a, b), (a, b)
+        assert got == b.direct_sum(a)
+        merged += len(got.torsion) < len(a.torsion) + len(b.torsion)
+    assert merged >= 50
+
+
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
         lambda c: st.lists(
