@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .cohomology import ORDER_LIMIT, RANK_LIMIT, cohomology
+from .cohomology import ORDER_LIMIT, RANK_LIMIT, _check_limits, cohomology
 from .datum import (_as_int, _require, build_action, datum_from_fan,
                     dump_datum, load_datum)
 from .errors import DatumError, TorikaError
@@ -20,9 +20,8 @@ from .fans import is_smooth_cone, validate_fan
 from .groups import GROUP_PRESETS, group_preset
 from .invariants import full_report
 from .linalg import FinAbGroup
-from .structure import (character_lattice, is_pure_divisorial,
-                        pure_divisorial_truncation, rho_map,
-                        tropical_int_check)
+from .structure import (character_lattice, pure_divisorial_truncation,
+                        rho_map, tropical_int_check)
 
 
 def _group_dict(g: FinAbGroup) -> dict:
@@ -33,11 +32,6 @@ def _group_dict(g: FinAbGroup) -> dict:
 
 def _emit_json(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def _working_fan(fan):
-    """The pure divisorial truncation when the fan has bigger cones."""
-    return fan if is_pure_divisorial(fan) else pure_divisorial_truncation(fan)
 
 
 def _cmd_validate(args) -> int:
@@ -93,7 +87,7 @@ def _cmd_truncate(args) -> int:
 def _cmd_standard(args) -> int:
     for path in args.files:
         datum = load_datum(path, normalize_rays=args.normalize_rays)
-        rho = rho_map(_working_fan(datum.fan))
+        rho = rho_map(pure_divisorial_truncation(datum.fan))
         name = (datum.name + "-standard") if datum.name else "standard"
         std = datum_from_fan(rho.source, name)
         doc = {"file": path,
@@ -140,9 +134,11 @@ def _inline_lattice(args):
     _require(not unknown, f"--lattice has unknown keys {unknown}")
     rank = _as_int(spec["rank"], "--lattice field 'rank'")
     _require(rank >= 0, f"--lattice field 'rank' must be nonnegative, got {rank}")
+    group = group_preset(args.splitting_group)
+    if args.degree:  # refused before the action is built
+        _check_limits(group, rank, args.order_limit, args.rank_limit)
     try:
-        return build_action(group_preset(args.splitting_group), rank,
-                            spec.get("action"))
+        return build_action(group, rank, spec.get("action"))
     except DatumError as exc:
         raise TorikaError(f"--lattice: {exc}") from None
 
@@ -176,7 +172,8 @@ def _cmd_check_int(args) -> int:
     status = 0
     for path in args.files:
         datum = load_datum(path, normalize_rays=args.normalize_rays)
-        result = tropical_int_check(_working_fan(datum.fan), args.bound)
+        result = tropical_int_check(pure_divisorial_truncation(datum.fan),
+                                    args.bound)
         if args.format == "json":
             _emit_json({"file": path, "bound": args.bound,
                         "passed": result.passed,

@@ -2,7 +2,7 @@
 
 Cochains come from a presentation of G read off its Cayley graph (Fox,
 Free differential calculus I, Ann. Math. 57, 1953; Brown, Cohomology of
-Groups, II-III).  S is a generating set chosen from the table, and a
+Groups, II-III).  S is the group's kept `generating_set`, and a
 1-cochain is a vector (f(s))_s in L^S.  The BFS tree of the right
 Cayley graph (`FiniteGroup.cayley_walk`) writes each g as a word in S,
 so a crossed homomorphism has f(g) = E_g (f(s))_s with E_gs = E_g + g P_s
@@ -60,7 +60,7 @@ class GLattice:
 
     `action[g]` is the matrix of g.  Construction checks that e acts as
     I and action[g] @ action[s] = action[gs] for every g and every s in
-    `_generating_set(group)`: by induction on word length that is the
+    `group.generating_set`: by induction on word length that is the
     group law, and g g^-1 = e then makes every matrix unimodular.  A
     failure names the first failing pair (g, h) in row-major order.
     """
@@ -85,7 +85,7 @@ class GLattice:
             raise ValueError("identity element must act as the identity matrix")
         acts = np.stack([m.array for m in mats])
         table = np.array(self.group.table)
-        gens = list(_generating_set(self.group))
+        gens = list(self.group.generating_set)
         edges = np.matmul(acts[:, None], acts[gens][None, :])
         if (edges != acts[table[:, gens]]).any():
             products = np.matmul(acts[:, None], acts[None, :])
@@ -152,7 +152,8 @@ def permutation_module(group: FiniteGroup, subgroup: Subgroup) -> GLattice:
 
 @dataclass(frozen=True)
 class GLatticeMap:
-    """An integer matrix commuting with the two group actions."""
+    """An integer matrix commuting with the two group actions (checked on
+    `generating_set`, which names the least element that fails)."""
 
     source: GLattice
     target: GLattice
@@ -166,7 +167,7 @@ class GLatticeMap:
                 f"matrix shape {self.matrix.shape} does not map "
                 f"rank {self.source.rank} into rank {self.target.rank}"
             )
-        for g in self.source.group.elements():
+        for g in self.source.group.generating_set:
             if self.target.act(g) @ self.matrix != self.matrix @ self.source.act(g):
                 raise IncompatibleModulesError(
                     f"matrix does not commute with the action of element {g}"
@@ -195,26 +196,13 @@ class CohomologyResult:
     _coords: tuple = field(default=None, repr=False, compare=False)
 
 
-def _generating_set(group: FiniteGroup, elements=None):
-    """The elements, in increasing order, outside the subgroup of those before.
-
-    Each one at least doubles the subgroup generated so far, and the
-    result generates the subgroup the elements generate (by default, G).
-    """
-    gens, reached = [], {group.identity}
-    for x in sorted(group.elements() if elements is None else elements):
-        if x not in reached:
-            gens.append(x)
-            reached = set(group.generated_subgroup(gens).elements)
-    return tuple(gens)
-
-
-def _check_limits(lattice, order_limit, rank_limit, raisable=True):
-    order, rank = lattice.group.order, lattice.rank
+def _check_limits(group, rank, order_limit=ORDER_LIMIT, rank_limit=RANK_LIMIT,
+                  raisable=True):
+    order = group.order
     for what, flag, value, limit in (("group order", "order", order, order_limit),
                                      ("lattice rank", "rank", rank, rank_limit)):
         if value > limit:
-            gens = len(_generating_set(lattice.group))
+            gens = len(group.generating_set)
             how = (f"; raise it with {flag}_limit= or torika cohomology "
                    f"--{flag}-limit" if raisable else "")
             raise ResourceLimitError(
@@ -231,7 +219,7 @@ def _cayley_complex(lattice: GLattice):
     edges (g, s) off the tree, one rank-row block each.
     """
     group = lattice.group
-    gens = _generating_set(group)
+    gens = group.generating_set
     rank = lattice.rank
     acts = lattice.action_arrays()
     paths = [None] * group.order
@@ -308,6 +296,7 @@ def _shifted_basis(d1, n):
     lies in Z^1 + n L^S exactly when each y[i] is divisible by
     lifts[i] * orders[i]: H^2 = sum Z/orders[i].
     """
+    # d^1 repeats rows; they change the Smith transforms, not the groups
     s, _, v, w = _smith(_nonredundant_rows(d1), want_v=True)
     diag = [s[i, i] if i < s.shape[0] else 0 for i in range(s.shape[1])]
     lifts = tuple(n // gcd(n, d) if d else 1 for d in diag)
@@ -343,7 +332,7 @@ def cohomology(lattice: GLattice, degree: int, *,
     if degree not in (0, 1, 2):
         raise ValueError("only degrees 0, 1 and 2 are supported")
     if degree == 0:
-        inv = _kernel_array(_d0(lattice, _generating_set(lattice.group)))
+        inv = _kernel_array(_d0(lattice, lattice.group.generating_set))
         k = inv.shape[1]
         return CohomologyResult(
             degree=0,
@@ -352,7 +341,7 @@ def cohomology(lattice: GLattice, degree: int, *,
             cocycles=IntMatrix.from_array(inv),
             boundaries=IntMatrix.zeros(k, 0),
         )
-    _check_limits(lattice, order_limit, rank_limit)
+    _check_limits(lattice.group, lattice.rank, order_limit, rank_limit)
     gens, _, d1 = _cayley_complex(lattice)
     if degree == 2:
         return _h2_result(lattice, d1)
@@ -381,7 +370,7 @@ def tate_cyclic_h2(lattice: GLattice) -> FinAbGroup:
     norm = np.zeros((lattice.rank, lattice.rank), dtype=object)
     for g in group.elements():
         norm += acts[g]
-    fixed = _kernel_array(_d0(lattice, _generating_set(group)))
+    fixed = _kernel_array(_d0(lattice, group.generating_set))
     y = _coords_in_basis(fixed, norm)
     return _cokernel_array(y)
 
@@ -409,7 +398,7 @@ class InducedCohomologyMap:
 
 def _h2_of(lattice, result):
     if result is None:
-        _check_limits(lattice, ORDER_LIMIT, RANK_LIMIT, raisable=False)
+        _check_limits(lattice.group, lattice.rank, raisable=False)
         return cohomology(lattice, 2)
     if result.degree != 2:
         raise IncompatibleModulesError("expected a degree-2 presentation")
@@ -431,7 +420,7 @@ def induced_h2_map(fmap: GLatticeMap,
     r1 = _h2_of(fmap.source, source_result)
     r2 = _h2_of(fmap.target, target_result)
     fz = _apply_blockwise(fmap, r1.cocycles.array,
-                          len(_generating_set(fmap.source.group)))
+                          len(fmap.source.group.generating_set))
     w, lifts = r2._coords
     y = _matmul(w, fz)
     if np.count_nonzero(y % lifts):
@@ -463,7 +452,7 @@ def kernel_of_h2_map(fmap: GLatticeMap,
     order = fmap.source.group.order
     tested = [i for i, d in enumerate(r2.boundaries.array.diagonal()) if d > 1]
     fz = _apply_blockwise(fmap, r1.cocycles.array,
-                          len(_generating_set(fmap.source.group)))
+                          len(fmap.source.group.generating_set))
     return _preimage_quotient(_matmul(r2._coords[0][tested, :], fz),
                               order * _eye(len(tested)),
                               r1.boundaries.array)
@@ -497,16 +486,16 @@ def _shapiro_kernel(lattice: GLattice, rows, orbits) -> FinAbGroup:
     H^1(G, Z/n[G/H_i]), which Shapiro's lemma identifies with
     Hom(H_i, Z/n) by restricting a cocycle to H_i and reading its x_i
     coordinate.  A source cocycle f is therefore in the kernel exactly
-    when (row x_i of the matrix) @ E_h @ f = 0 mod n for each generator h
-    of each H_i: the target lattice is never built.
+    when (row x_i of the matrix) @ E_h @ f = 0 mod n for each h in the
+    `generating_set` of each H_i: the target lattice is never built.
     """
-    _check_limits(lattice, ORDER_LIMIT, RANK_LIMIT, raisable=False)
+    _check_limits(lattice.group, lattice.rank, raisable=False)
     group = lattice.group
     _, paths, d1 = _cayley_complex(lattice)
     r1 = _h2_result(lattice, d1)
     tests = _stack([_matmul(rows[orbit[:1], :], paths[h])
                     for orbit, stab in orbits
-                    for h in _generating_set(group, stab.elements)], d1.shape[1])
+                    for h in stab.generating_set], d1.shape[1])
     return _preimage_quotient(_matmul(tests, r1.cocycles.array),
                               group.order * _eye(tests.shape[0]),
                               r1.boundaries.array)

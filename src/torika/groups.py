@@ -5,12 +5,23 @@ is all the generality the rest of the package needs, and it keeps every
 check (associativity, closure, stabilizers) exact and cheap for the
 small groups that occur as splitting groups.  `cayley_walk` is the one
 walk from generators; subgroups, presentations and actions all read it.
+
+Each group and subgroup keeps `generating_set`, built once with it: the
+elements, in increasing order, outside the subgroup generated by those
+before them, so at most log2 of the order.  Every group law is checked
+on it.  The s with (ab)s = a(bs) for all a, b are closed under products
+(Light's test; Clifford-Preston, Algebraic Theory of Semigroups I), and
+a finite subset closed under products is a subgroup.  The elements that
+commute with a map or stabilize a set form a subgroup, so the least
+element that fails such a law is a generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import permutations, product
+
+import numpy as np
 
 from .errors import MalformedGroupError, MalformedSubgroupError
 
@@ -28,6 +39,7 @@ class FiniteGroup:
     table: tuple
     identity: int = field(default=-1, compare=False)
     name: str = field(default="", compare=False)
+    generating_set: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.order
@@ -37,32 +49,28 @@ class FiniteGroup:
             raise MalformedGroupError("a group needs at least one element")
         if len(table) != n or any(len(row) != n for row in table):
             raise MalformedGroupError(f"multiplication table must be {n}x{n}")
-        for row in table:
-            for x in row:
-                if not 0 <= x < n:
-                    raise MalformedGroupError(f"table entry {x} out of range")
-        identity = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
+        t = np.array(table)
+        wrong = t[(t < 0) | (t >= n)]
+        if wrong.size:
+            raise MalformedGroupError(f"table entry {wrong[0]} out of range")
+        t, x = t.astype(np.intp), np.arange(n)
+        units = np.flatnonzero((t == x).all(axis=1) & (t.T == x).all(axis=1))
+        if not units.size:
             raise MalformedGroupError("no two-sided identity element")
+        identity = int(units[0])
+        both = (t == identity) & (t.T == identity)
+        lost = np.flatnonzero(~both.any(axis=1))
+        if lost.size:
+            raise MalformedGroupError(f"element {lost[0]} has no inverse")
+        gens = _greedy_generators(table, identity, range(n))
+        for s in gens:  # Light's test: (ab)s = a(bs)
+            wrong = np.argwhere(t[:, s][t] != t[:, t[:, s]])
+            if wrong.size:
+                raise MalformedGroupError(
+                    "associativity fails at ({}, {}, {})".format(*wrong[0], s))
         object.__setattr__(self, "identity", identity)
-        inverses = []
-        for a in range(n):
-            inv = [b for b in range(n) if table[a][b] == identity and table[b][a] == identity]
-            if not inv:
-                raise MalformedGroupError(f"element {a} has no inverse")
-            inverses.append(inv[0])
-        object.__setattr__(self, "_inverses", tuple(inverses))
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise MalformedGroupError(
-                            f"associativity fails at ({a}, {b}, {c})"
-                        )
+        object.__setattr__(self, "_inverses", tuple(both.argmax(axis=1).tolist()))
+        object.__setattr__(self, "generating_set", gens)
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -82,14 +90,12 @@ class FiniteGroup:
         return k
 
     def is_cyclic(self):
-        return any(self.element_order(a) == self.order for a in self.elements())
+        return self.generator() is not None
 
     def generator(self):
         """Some element of full order, or None when the group is not cyclic."""
-        for a in self.elements():
-            if self.element_order(a) == self.order:
-                return a
-        return None
+        return next((a for a in self.elements()
+                     if self.element_order(a) == self.order), None)
 
     def subgroup(self, elements) -> "Subgroup":
         return Subgroup(self, tuple(sorted(set(int(x) for x in elements))))
@@ -135,12 +141,31 @@ class FiniteGroup:
         return f"FiniteGroup({label})"
 
 
+def _greedy_generators(table, identity, elements):
+    """The generating set by one right Cayley-graph walk, extended as each
+    generator joins; elements reached before it take only its edges."""
+    gens, reached, seen = [], [identity], {identity}
+    for x in sorted(elements):
+        if x in seen:
+            continue
+        gens.append(x)
+        old = len(reached)
+        for i, g in enumerate(reached):  # grows while it is walked
+            for s in gens[-1:] if i < old else gens:
+                h = table[g][s]
+                if h not in seen:
+                    seen.add(h)
+                    reached.append(h)
+    return tuple(gens)
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup, stored as the sorted tuple of its element indices."""
 
     parent: FiniteGroup
     elements: tuple
+    generating_set: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         elems = tuple(sorted(set(int(x) for x in self.elements)))
@@ -151,15 +176,12 @@ class Subgroup:
                 raise MalformedSubgroupError(f"element {x} out of range")
         if self.parent.identity not in elems:
             raise MalformedSubgroupError("subgroup must contain the identity")
+        gens = _greedy_generators(self.parent.table, self.parent.identity, elems)
         member = set(elems)
-        for a in elems:
-            if self.parent.inv(a) not in member:
-                raise MalformedSubgroupError(f"element {a} has no inverse in the subset")
-            for b in elems:
-                if self.parent.mul(a, b) not in member:
-                    raise MalformedSubgroupError(
-                        f"subset not closed: {a}*{b} falls outside"
-                    )
+        for a, b in product(elems, gens):  # the Cayley graph's edges
+            if self.parent.mul(a, b) not in member:
+                raise MalformedSubgroupError(f"subset not closed: {a}*{b} falls outside")
+        object.__setattr__(self, "generating_set", gens)
 
     @property
     def order(self):

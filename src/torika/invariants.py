@@ -95,8 +95,7 @@ def full_report(fan: GFan, bound: int = 5) -> InvariantReport:
         (len(orbit), stab.order)
         for orbit, stab in _stage("ray orbits", lambda: ray_orbits(fan))
     )
-    working = fan if pure else _stage(
-        "truncation", lambda: pure_divisorial_truncation(fan))
+    working = _stage("truncation", lambda: pure_divisorial_truncation(fan))
     cls = _stage("class group", lambda: class_group(working))
     brauer = _stage("Brauer kernel", lambda: brauer_kernel(working))
     tropical = _stage("tropical check",

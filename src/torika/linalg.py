@@ -443,11 +443,10 @@ def _column_reduce(a, track=False):
 
 def _kernel_array(a):
     """Basis of {x : a @ x == 0} as the columns of an (n x k) array."""
-    m, n = a.shape
+    n = a.shape[1]
     if n == 0:
         return np.empty((0, 0), dtype=object)
-    reduced = _nonredundant_rows(a) if m else a
-    _, vt, _, free = _column_reduce(reduced, track=True)
+    _, vt, _, free = _column_reduce(a, track=True)
     k = len(free)
     out = np.empty((n, k), dtype=object)
     for t, j in enumerate(sorted(free)):

@@ -78,9 +78,11 @@ def pure_divisorial_truncation(fan: GFan) -> GFan:
 
     Geometrically this removes the closed strata of codimension >= 2,
     leaving the maximal open subvariety whose orbits all have dimension
-    >= rank - 1.  Idempotent by construction.
+    >= rank - 1.  A fan that is already pure divisorial is returned as is.
     """
     fan.require_valid()
+    if is_pure_divisorial(fan):
+        return fan
     kept = tuple(c for c in fan.cones if len(c) <= 1)
     return GFan(rank=fan.rank, rays=fan.rays, cones=kept, action=fan.action)
 
@@ -90,7 +92,7 @@ def affine_structure(fan: GFan, cone) -> AffineStructure:
     fan.require_valid()
     cone = _checked_cone(fan, cone)
     perms = fan.ray_permutations()
-    for g in fan.group.elements():
+    for g in fan.group.generating_set:
         image = {perms[g][i] for i in cone.rays}
         if image != set(cone.rays):
             raise NotDescendableError(
@@ -101,18 +103,11 @@ def affine_structure(fan: GFan, cone) -> AffineStructure:
     factors = [stab for orbit, stab in ray_orbits(fan) if orbit[0] in cone]
     # units: characters vanishing on the cone, with the dual action
     pairing = np.array([fan.rays[i].generator for i in cone.rays], dtype=object)
-    if len(cone) == 0:
-        basis = np.array([[1 if i == j else 0 for j in range(fan.rank)]
-                          for i in range(fan.rank)], dtype=object)
-    else:
-        basis = _kernel_array(pairing)
+    basis = _kernel_array(pairing.reshape(len(cone), fan.rank))
     dual = fan.action.dual()
-    unit_rank = basis.shape[1]
-    unit_action = []
-    for g in fan.group.elements():
-        coords = _coords_in_basis(basis, _matmul(dual.act(g).array, basis))
-        unit_action.append(IntMatrix.from_array(coords))
-    units = GLattice(fan.group, unit_rank, tuple(unit_action))
+    units = GLattice(fan.group, basis.shape[1], tuple(
+        IntMatrix.from_array(_coords_in_basis(basis, _matmul(dual.act(g).array, basis)))
+        for g in fan.group.elements()))
     # divisor module: permutation lattice on the cone's rays
     index_of = {ray: pos for pos, ray in enumerate(cone.rays)}
     divisor_module = permutation_lattice(
@@ -129,7 +124,7 @@ def standard_fan(group: FiniteGroup, stabilizers) -> GFan:
     The cocharacter lattice is the direct sum of the coset permutation
     modules Z[G/H_i]; the rays are the coset basis vectors and the only
     cones are the zero cone and one ray cone each, so the result is pure
-    divisorial by construction.
+    divisorial and valid by construction.
     """
     stabilizers = tuple(stabilizers)
     for h in stabilizers:
@@ -146,8 +141,7 @@ def standard_fan(group: FiniteGroup, stabilizers) -> GFan:
     rank = lattice.rank
     rays = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     cones = [()] + [(i,) for i in range(rank)]
-    fan = GFan(rank=rank, rays=tuple(rays), cones=tuple(cones), action=lattice)
-    return fan.require_valid()
+    return GFan(rank=rank, rays=tuple(rays), cones=tuple(cones), action=lattice)
 
 
 def rho_map(fan: GFan) -> FanMorphism:
@@ -162,12 +156,9 @@ def rho_map(fan: GFan) -> FanMorphism:
         raise ValueError("rho is defined for pure divisorial fans only")
     orbits = ray_orbits(fan)
     source = standard_fan(fan.group, [stab for _, stab in orbits])
-    columns = []
-    for orbit, stab in orbits:
-        base_ray = fan.rays[orbit[0]].generator
-        for coset in stab.left_cosets():
-            rep = coset[0]
-            columns.append(fan.action.act(rep).apply(base_ray))
+    perms = fan.ray_permutations()
+    columns = [fan.rays[perms[coset[0]][orbit[0]]].generator
+               for orbit, stab in orbits for coset in stab.left_cosets()]
     matrix = IntMatrix.from_columns(columns, rows=fan.rank)
     return FanMorphism(source=source, target=fan, matrix=matrix)
 

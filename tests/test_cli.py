@@ -1,11 +1,15 @@
 """Command line interface, driven through main() directly."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from torika.cli import main
+from torika.cohomology import cohomology, trivial_lattice
+from torika.errors import ResourceLimitError
+from torika.groups import group_preset
 
 from conftest import fixture_path
 
@@ -156,6 +160,29 @@ def test_cohomology_bad_inline_lattice_is_one_located_line(capsys, spec, says):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("torika: --lattice"), err
     assert says in lines[0], err
+
+
+def test_oversized_inline_lattice_is_refused_before_it_is_built(capsys):
+    refusal = ("torika: lattice rank 400 exceeds the limit 16 (d^1 would be "
+               "400x400); raise it with rank_limit= or torika cohomology "
+               "--rank-limit\n")
+    for degree in ("1", "2"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cohomology", "--degree", degree,
+                             "--splitting-group", "C2", "--lattice", '{"rank": 400}')
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (1, "", refusal)
+    # the same words as the refusal of a lattice that was built
+    lattice = trivial_lattice(group_preset("S3"), 17)
+    with pytest.raises(ResourceLimitError) as info:
+        cohomology(lattice, 1)
+    code, out, err = run(capsys, "cohomology", "--degree", "1",
+                         "--splitting-group", "S3", "--lattice", '{"rank": 17}')
+    assert (code, out, err) == (1, "", f"torika: {info.value}\n")
+    # degree 0 builds no d^1 and takes no guard
+    code, out, _ = run(capsys, "cohomology", "--degree", "0",
+                       "--splitting-group", "C2", "--lattice", '{"rank": 17}')
+    assert code == 0 and "H^0 = Z^17" in out
 
 
 def test_cohomology_no_input(capsys):

@@ -11,6 +11,8 @@ generating set and spanning tree the presentation is read from.
 """
 
 import random
+import time
+from collections import Counter
 from importlib import import_module
 from math import gcd
 
@@ -457,18 +459,30 @@ def test_kernel_matches_bar_lift_on_fixtures():
         assert brauer_kernel(fan) == want, name
 
 
+ORBIT_FAN_DRAWS = 10_000
+
+
 def _orbit_fan(rng, lattice, least_rays, most_rays):
-    """A pure divisorial fan whose rays are whole orbits of random vectors."""
-    while True:
-        rays = []
-        while len(rays) < least_rays:
-            v = tuple(rng.randint(-3, 3) for _ in range(lattice.rank))
-            if any(v) and np.gcd.reduce(v) == 1 and v not in rays:
-                rays += sorted({lattice.act(g).apply(v) for g in lattice.group.elements()})
+    """A pure divisorial fan whose rays are whole orbits of random vectors.
+
+    Draws vectors until the orbits hold least_rays rays, and starts over
+    when they hold more than most_rays; gives up after ORBIT_FAN_DRAWS.
+    """
+    rays = []
+    for _ in range(ORBIT_FAN_DRAWS):
+        v = tuple(rng.randint(-3, 3) for _ in range(lattice.rank))
+        if any(v) and np.gcd.reduce(v) == 1 and v not in rays:
+            rays += sorted({lattice.act(g).apply(v) for g in lattice.group.elements()})
+        if len(rays) < least_rays:
+            continue
         if len(rays) <= most_rays:  # rays is a union of whole orbits
             cones = [()] + [(i,) for i in range(len(rays))]
             return GFan(rank=lattice.rank, rays=tuple(rays), cones=tuple(cones),
                         action=lattice).require_valid()
+        rays = []
+    raise ValueError(f"no orbit fan with {least_rays} to {most_rays} rays in "
+                     f"{ORBIT_FAN_DRAWS} draws from the rank-{lattice.rank} "
+                     f"{lattice.group.name} lattice {[m.to_rows() for m in lattice.action]}")
 
 
 def test_kernel_matches_bar_lift_on_wide_fans():
@@ -490,7 +504,12 @@ def test_kernel_matches_bar_lift_on_wide_fans():
 
 
 def _product_truncation(rng, group):
-    """The pure divisorial truncation of a (P^1)^d on which G permutes factors.
+    """The pure divisorial truncation of `_product_fan`."""
+    return pure_divisorial_truncation(_product_fan(rng, group))
+
+
+def _product_fan(rng, group):
+    """A (P^1)^d on which G permutes the factors.
 
     G permutes the d <= 4 coordinates through the cosets of random
     subgroups, times a sign character when it has one, and the fan is
@@ -517,7 +536,7 @@ def _product_truncation(rng, group):
     cones = [tuple(2 * i + (k >> i & 1) for i in range(d)) for k in range(2 ** d)]
     fan = GFan.from_max_cones(d, rays, cones, action=GLattice(
         group, d, tuple(u @ m @ u_inv for m in lattice.action)))
-    return pure_divisorial_truncation(fan.require_valid())
+    return fan.require_valid()
 
 
 def test_brauer_kernel_matches_both_routes_on_random_truncations():
@@ -776,3 +795,71 @@ def test_dual_is_inverse_transpose():
             assert dual.dual() == lattice
             checked += 1
     assert checked == 8 * len(DIFFERENTIAL_GROUPS)
+
+
+def test_orbit_fan_gives_up_when_the_lattice_has_too_few_rays():
+    # a rank-1 lattice has the two rays +1 and -1 only
+    lattice = trivial_lattice(cyclic_group(3), 1)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"no orbit fan with 4 to 12 rays .* rank-1 C3"):
+        _orbit_fan(random.Random(5), lattice, 4, 12)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_reports_and_cohomology_take_no_generated_subgroup(monkeypatch):
+    # every group and subgroup keeps the generating set it was built with
+    rng = random.Random(20261018)
+    groups = [group_preset(name) for name in sorted(GROUP_PRESETS)] + EXPLICIT_GROUPS
+    lattices = [random_lattice(rng, group, 3) for group in groups for _ in range(2)]
+    want = [(cohomology(a, 1).group, cohomology(a, 2).group) for a in lattices]
+    reports = [full_report(load_fixture(name).fan) for name in FIXTURE_NAMES]
+
+    def refuse(self, generators):
+        raise AssertionError("the generating set is kept, not recomputed")
+    monkeypatch.setattr(FiniteGroup, "generated_subgroup", refuse)
+    assert [full_report(load_fixture(name).fan) for name in FIXTURE_NAMES] == reports
+    assert [(cohomology(a, 1).group, cohomology(a, 2).group) for a in lattices] == want
+
+
+def _commutation_message(source, target, matrix):
+    """The former GLatticeMap check over every element, kept as the oracle."""
+    for g in source.group.elements():
+        if target.act(g) @ matrix != matrix @ source.act(g):
+            return f"matrix does not commute with the action of element {g}"
+    return None
+
+
+def _subgroup_average(rng, source, target, sub):
+    """A matrix commuting with the elements of `sub`, perhaps no others."""
+    raw = IntMatrix([[rng.randint(-2, 2) for _ in range(source.rank)]
+                     for _ in range(target.rank)])
+    total = IntMatrix.zeros(target.rank, source.rank)
+    for h in sub.elements:
+        total = total + target.act(h) @ raw @ source.act(source.group.inv(h))
+    return total
+
+
+def test_generator_commutation_check_agrees_with_all_elements():
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for group in DIFFERENTIAL_GROUPS + EXPLICIT_GROUPS:
+        for _ in range(6):
+            a, b = random_lattice(rng, group, 3), random_lattice(rng, group, 3)
+            valid = random_equivariant_map(rng, a, b).matrix
+            rows = valid.to_rows()
+            rows[rng.randrange(b.rank)][rng.randrange(a.rank)] += rng.choice((-1, 1))
+            sub = rng.choice(group.cyclic_subgroups())
+            for matrix in (valid, IntMatrix(rows), _subgroup_average(rng, a, b, sub)):
+                want = _commutation_message(a, b, matrix)
+                if want is None:
+                    GLatticeMap(a, b, matrix)
+                    kinds["valid"] += 1
+                    continue
+                with pytest.raises(IncompatibleModulesError) as info:
+                    GLatticeMap(a, b, matrix)
+                assert str(info.value) == want, group.name
+                kinds["refused"] += 1
+                kinds["at a later generator"] += int(want.split()[-1]) != group.generating_set[0]
+    print(f"commutation checks: {dict(kinds)}")
+    assert kinds["valid"] >= 66 and kinds["refused"] >= 66
+    assert kinds["at a later generator"] >= 10

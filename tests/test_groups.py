@@ -1,6 +1,8 @@
 """Finite groups given by multiplication tables, and their subgroups."""
 
-from itertools import combinations
+import random
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -143,3 +145,114 @@ def test_cayley_walk_is_breadth_first_with_a_spanning_tree():
                     (g, j) for g in order for j in range(k)]
                 assert all(h == group.mul(g, gens[j]) for g, j, h, _ in edges)
                 assert tuple(sorted(order)) == _two_sided_closure(group, gens)
+
+
+def _all_triples_verdict(order, table):
+    """The former FiniteGroup axiom checks, kept as the oracle: None when
+    the table is a group, else the message of the first failure."""
+    n = order
+    identity = next((e for e in range(n)
+                     if all(table[e][x] == x and table[x][e] == x for x in range(n))), None)
+    if identity is None:
+        return "no two-sided identity element"
+    for a in range(n):
+        if not any(table[a][b] == identity and table[b][a] == identity for b in range(n)):
+            return f"element {a} has no inverse"
+    for a, b, c in product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return f"associativity fails at ({a}, {b}, {c})"
+    return None
+
+
+def _same_group_verdict(order, table):
+    """Compare FiniteGroup with the oracle; return the oracle's verdict."""
+    want = _all_triples_verdict(order, table)
+    try:
+        FiniteGroup(order, table)
+    except MalformedGroupError as exc:
+        got = str(exc)
+        assert want is not None, (table, got)
+        if want.startswith("associativity"):
+            # Light's test may name another failing triple
+            a, b, c = map(int, got[got.index("(") + 1:-1].split(", "))
+            assert table[table[a][b]][c] != table[a][table[b][c]], (table, got)
+        else:
+            assert got == want, table
+    else:
+        assert want is None, (table, want)
+    return want
+
+
+def test_light_test_agrees_with_all_triples_on_every_small_table():
+    verdicts = []
+    for n in (1, 2, 3):
+        for flat in product(range(n), repeat=n * n):
+            table = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+            verdict = _all_triples_verdict(n, table)
+            if verdict is None or verdict.startswith("associativity"):
+                verdicts.append(_same_group_verdict(n, table))
+    # the tables with an identity and inverses: 1 + 2 * 1 + 3 * 17 of
+    # order <= 3 (as many as places for the identity), 1 + 2 + 3 groups
+    assert len(verdicts) == 54 and verdicts.count(None) == 6
+
+
+def test_light_test_agrees_with_all_triples_on_perturbed_tables():
+    rng = random.Random(10)
+    kinds = Counter()
+    for group in [g for g in ALL_GROUPS if g.order > 1]:
+        for _ in range(25):
+            table = [list(row) for row in group.table]
+            a, b = rng.randrange(group.order), rng.randrange(group.order)
+            table[a][b] = rng.choice([x for x in group.elements() if x != table[a][b]])
+            verdict = _same_group_verdict(group.order, tuple(map(tuple, table)))
+            kinds[(verdict or "group").split()[0]] += 1
+    assert sum(kinds.values()) == 275 and kinds["associativity"] >= 50, kinds
+    print(f"perturbed tables by first failure: {dict(kinds)}")
+
+
+def _inverse_and_closure_verdict(group, elems):
+    """The former Subgroup check, kept as the oracle."""
+    for a in elems:
+        if group.inv(a) not in elems:
+            return False
+        if any(group.mul(a, b) not in elems for b in elems):
+            return False
+    return True
+
+
+def test_subgroup_walk_agrees_with_inverse_and_closure_check():
+    checked = accepted = 0
+    for group in ALL_GROUPS:
+        others = [x for x in group.elements() if x != group.identity]
+        for mask in range(2 ** len(others)):
+            elems = {group.identity} | {x for i, x in enumerate(others) if mask >> i & 1}
+            want = _inverse_and_closure_verdict(group, elems)
+            try:
+                sub = Subgroup(group, tuple(elems))
+            except MalformedSubgroupError:
+                assert not want, (group.name, elems)
+            else:
+                assert want, (group.name, elems)
+                assert group.generated_subgroup(sub.generating_set) == sub
+                accepted += 1
+            checked += 1
+    assert checked == sum(2 ** (g.order - 1) for g in ALL_GROUPS) == 2535
+    assert accepted == sum(len(_all_subgroups(g)) for g in ALL_GROUPS)
+
+
+def _all_subgroups(group):
+    return {group.generated_subgroup(gens).elements
+            for k in range(3) for gens in combinations(group.elements(), k)}
+
+
+def test_generating_set_is_greedy_and_kept():
+    for group in ALL_GROUPS:
+        for sub in [group.full_subgroup()] + group.cyclic_subgroups():
+            gens = sub.generating_set
+            assert group.generated_subgroup(gens) == sub
+            for i, s in enumerate(gens):  # each lies outside those before it
+                assert s not in group.generated_subgroup(gens[:i])
+                assert all(x in group.generated_subgroup(gens[:i])
+                           for x in sub.elements if x < s)
+        assert group.generating_set == group.full_subgroup().generating_set
+        assert 2 ** len(group.generating_set) <= group.order

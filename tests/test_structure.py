@@ -20,8 +20,9 @@ from torika.structure import (AffineStructure, FanMorphism, affine_structure,
                               ray_permutation_lattice, rho_map, standard_fan,
                               TropicalCheckResult, tropical_int_check)
 
-from conftest import (FIXTURE_NAMES, PURE_DIVISORIAL_FIXTURES, load_fixture,
-                      random_smooth_fan)
+from conftest import (EXPLICIT_GROUPS, FIXTURE_NAMES, PURE_DIVISORIAL_FIXTURES,
+                      load_fixture, random_smooth_fan)
+from test_cohomology import DIFFERENTIAL_GROUPS, _product_fan
 
 C2 = cyclic_group(2)
 A2 = GFan.from_max_cones(2, [(1, 0), (0, 1)], [(0, 1)])
@@ -294,3 +295,33 @@ def test_tropical_check_matches_per_point_route():
         for bound in range(7):
             assert (tropical_int_check(fan, bound)
                     == per_point_tropical_check(fan, bound)), (fan, bound)
+
+
+def _unstable_element(fan, cone):
+    """The former stability check over every element, kept as the oracle."""
+    perms = fan.ray_permutations()
+    return next((g for g in fan.group.elements()
+                 if {perms[g][i] for i in cone.rays} != set(cone.rays)), None)
+
+
+def test_generator_stability_check_agrees_with_all_elements():
+    rng = random.Random(20261021)
+    fans = [load_fixture(name).fan for name in FIXTURE_NAMES]
+    fans += [_product_fan(rng, group) for group in DIFFERENTIAL_GROUPS + EXPLICIT_GROUPS
+             for _ in range(2)]
+    stable = unstable = later = 0
+    for fan in fans:
+        for cone in fan.cones:
+            g = _unstable_element(fan, cone)
+            if g is None:
+                st = affine_structure(fan, cone)
+                assert st.units.rank + st.divisor_module.rank == fan.rank
+                stable += 1
+                continue
+            with pytest.raises(NotDescendableError) as info:
+                affine_structure(fan, cone)
+            assert str(info.value) == f"cone {cone.rays} is not stable under element {g}"
+            unstable += 1
+            later += g != fan.group.generating_set[0]
+    print(f"cones: {stable} stable, {unstable} unstable ({later} at a later generator)")
+    assert stable >= 100 and unstable >= 100 and later >= 10
