@@ -120,7 +120,7 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _inline_lattice(args):
+def _inline_lattice(args, limits):
     """The --lattice JSON as a GLattice; every refusal names --lattice."""
     if args.splitting_group is None:
         raise TorikaError("--lattice needs --splitting-group")
@@ -135,8 +135,8 @@ def _inline_lattice(args):
     rank = _as_int(spec["rank"], "--lattice field 'rank'")
     _require(rank >= 0, f"--lattice field 'rank' must be nonnegative, got {rank}")
     group = group_preset(args.splitting_group)
-    if args.degree:  # refused before the action is built
-        _check_limits(group, rank, args.order_limit, args.rank_limit)
+    if limits is not None:  # refused before the action is built
+        _check_limits(group, rank, *limits)
     try:
         return build_action(group, rank, spec.get("action"))
     except DatumError as exc:
@@ -145,10 +145,12 @@ def _inline_lattice(args):
 
 def _cmd_cohomology(args) -> int:
     jobs = []
+    # H^0 builds no d^1, so it takes no size guard
+    limits = (args.order_limit, args.rank_limit) if args.degree else None
     if args.lattice is not None:
-        jobs.append(("<inline>", _inline_lattice(args)))
+        jobs.append(("<inline>", _inline_lattice(args, limits)))
     for path in args.files:
-        datum = load_datum(path, normalize_rays=args.normalize_rays)
+        datum = load_datum(path, normalize_rays=args.normalize_rays, limits=limits)
         jobs.append((path, character_lattice(datum.fan)))
     if not jobs:
         raise TorikaError("cohomology needs a datum file or --lattice")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .cohomology import GLattice, trivial_lattice
+from .cohomology import GLattice, _check_limits, trivial_lattice
 from .errors import DatumError, TorikaError
 from .fans import GFan, primitive_vector, validate_fan
 from .groups import GROUP_PRESETS, FiniteGroup, group_preset
@@ -169,7 +169,8 @@ def build_action(group, rank, spec) -> GLattice:
         raise DatumError(f"field 'action': {exc}") from None
 
 
-def _build_datum(doc, *, normalize_rays=False, where="<data>") -> ToricDatum:
+def _build_datum(doc, *, normalize_rays=False, where="<data>",
+                 limits=None) -> ToricDatum:
     _require(isinstance(doc, dict), f"{where}: top level must be an object")
     for key in ("group", "lattice_rank", "rays", "max_cones"):
         _require(key in doc, f"{where}: missing required field '{key}'")
@@ -181,6 +182,8 @@ def _build_datum(doc, *, normalize_rays=False, where="<data>") -> ToricDatum:
     group = build_group(doc["group"])
     rank = _as_int(doc["lattice_rank"], "field 'lattice_rank'")
     _require(rank >= 0, f"{where}: field 'lattice_rank' must be nonnegative")
+    if limits is not None:  # refused before the action is built
+        _check_limits(group, rank, *limits)
     action = build_action(group, rank, doc.get("action"))
     raw_rays = doc["rays"]
     _require(isinstance(raw_rays, list), f"{where}: field 'rays' must be a list")
@@ -208,8 +211,13 @@ def _build_datum(doc, *, normalize_rays=False, where="<data>") -> ToricDatum:
     return ToricDatum(name=name, group_spec=doc["group"], fan=fan)
 
 
-def load_datum(path, *, normalize_rays=False, require_valid=True) -> ToricDatum:
-    """Load, expand and validate a datum file."""
+def load_datum(path, *, normalize_rays=False, require_valid=True,
+               limits=None) -> ToricDatum:
+    """Load, expand and validate a datum file.
+
+    limits = (order_limit, rank_limit) refuses a larger group or rank as
+    `cohomology` would, before the action is built.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -218,7 +226,8 @@ def load_datum(path, *, normalize_rays=False, require_valid=True) -> ToricDatum:
     except json.JSONDecodeError as exc:
         raise DatumError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     try:
-        datum = _build_datum(doc, normalize_rays=normalize_rays, where=str(path))
+        datum = _build_datum(doc, normalize_rays=normalize_rays, where=str(path),
+                             limits=limits)
     except DatumError as exc:
         message = str(exc)
         if not message.startswith(str(path)):

@@ -7,6 +7,7 @@ equivariant maps obtained by averaging an arbitrary matrix over the
 group.  D4, Q8, A4 and C2xC4 come as explicit tables that are no preset.
 """
 
+import importlib.util
 import random
 from itertools import combinations, permutations
 from pathlib import Path
@@ -18,6 +19,7 @@ from torika.groups import FiniteGroup
 from torika.linalg import IntMatrix
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+BENCH_GENERATORS = FIXTURE_DIR.parent / "bench" / "generators.py"
 
 FIXTURE_NAMES = [
     "nfamily_n0", "nfamily_n1", "nfamily_n2", "nfamily_n3",
@@ -75,6 +77,15 @@ def fixture_path(name: str) -> str:
 
 def load_fixture(name: str):
     return load_datum(fixture_path(name))
+
+
+def bench_data(workload: str, seed: int, directory):
+    """(file name, datum) for each datum of a benchmark workload, loaded."""
+    spec = importlib.util.spec_from_file_location("bench_generators", BENCH_GENERATORS)
+    generators = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generators)
+    return [(path.name, load_datum(str(path)))
+            for path, _ in generators.write_data(workload, seed, directory)]
 
 
 def rand_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:

@@ -10,24 +10,20 @@ whose rays do not span N, or whose Pic has torsion, are outside its
 scope; every test counts them and prints the count.
 """
 
-import importlib.util
 import random
-from pathlib import Path
 
 from torika.cohomology import (RANK_LIMIT, GLattice, cohomology,
                                permutation_module, trivial_lattice)
-from torika.datum import load_datum
 from torika.fans import GFan
 from torika.groups import cyclic_group, klein_four_group, symmetric_group_3
 from torika.invariants import brauer_kernel
 from torika.linalg import IntMatrix, _unimodular_inverse, smith_normal_form
 from torika.structure import divisor_map, pure_divisorial_truncation
 
-from conftest import EXPLICIT_GROUPS, FIXTURE_NAMES, load_fixture, rand_unimodular
+from conftest import (EXPLICIT_GROUPS, FIXTURE_NAMES, bench_data, load_fixture,
+                      rand_unimodular)
 from test_cohomology import (DIFFERENTIAL_GROUPS, _orbit_fan,
                              _product_truncation, random_lattice)
-
-GENERATORS = Path(__file__).resolve().parent.parent / "bench" / "generators.py"
 
 
 def picard_lattice(fan):
@@ -132,14 +128,8 @@ def test_brauer_kernel_is_h1_of_picard_on_fixtures_and_truncations():
 
 
 def test_brauer_kernel_is_h1_of_picard_on_galois_descent_data(tmp_path):
-    spec = importlib.util.spec_from_file_location("bench_generators", GENERATORS)
-    generators = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generators)
-    fans = []
-    for seed in (1, 2):
-        for path, _ in generators.write_data("galois-descent", seed,
-                                             tmp_path / str(seed)):
-            fans.append((path.name, load_datum(str(path)).fan))
+    fans = [(name, datum.fan) for seed in (1, 2)
+            for name, datum in bench_data("galois-descent", seed, tmp_path / str(seed))]
     checked, nontrivial, outside = _compare(fans)
     assert checked + sum(outside.values()) == len(fans) == 202
     assert checked >= 100 and nontrivial >= 8, (checked, nontrivial)

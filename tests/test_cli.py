@@ -113,6 +113,11 @@ def test_check_int(capsys):
     assert "check-int bound 3: PASS" in out
 
 
+def test_check_int_refuses_a_negative_bound_in_one_line(capsys):
+    assert run(capsys, "check-int", "--bound", "-1", fixture_path("standard_c2")) == (
+        1, "", "torika: bound must be nonnegative\n")
+
+
 def test_cohomology_from_file(capsys):
     code, out, _ = run(capsys, "cohomology", fixture_path("sign_rank1"))
     assert code == 0
@@ -185,6 +190,24 @@ def test_oversized_inline_lattice_is_refused_before_it_is_built(capsys):
     assert code == 0 and "H^0 = Z^17" in out
 
 
+def test_oversized_datum_is_refused_before_its_action_is_built(capsys, tmp_path):
+    # a shear has infinite order, so building this C2 action would fail
+    eye = [[int(i == j) for j in range(17)] for i in range(17)]
+    shear = [row[:] for row in eye]
+    shear[0][1] = 1
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"group": "C2", "lattice_rank": 17,
+                                "action": [eye, shear], "rays": [], "max_cones": []}))
+    refusal = ("torika: lattice rank 17 exceeds the limit 16 (d^1 would be "
+               "17x17); raise it with rank_limit= or torika cohomology "
+               "--rank-limit\n")
+    for degree in ("1", "2"):
+        assert run(capsys, "cohomology", "--degree", degree, str(path)) == (1, "", refusal)
+    # degree 0 takes no guard, so the action is built and refused
+    assert run(capsys, "cohomology", "--degree", "0", str(path)) == (
+        1, "", f"torika: {path}: field 'action': action is not a homomorphism at (1, 1)\n")
+
+
 def test_cohomology_no_input(capsys):
     code, out, err = run(capsys, "cohomology")
     assert code == 1
@@ -222,6 +245,17 @@ def test_internal_error_is_one_line(capsys, monkeypatch, error, line):
     assert code == 1
     assert out == ""
     assert err.splitlines() == [line]
+
+
+def test_coset_ray_mismatch_is_an_internal_error_of_the_tropical_check(
+        capsys, monkeypatch):
+    # a ray hit twice and one missed: impossible on a valid fan
+    monkeypatch.setattr("torika.structure._coset_rays", lambda fan: [0, 0, 2])
+    code, out, err = run(capsys, "report", fixture_path("p2"))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "torika: internal error in tropical check: AssertionError: "
+        "rho's columns are not the fan's rays, each once"]
 
 
 def test_internal_error_before_any_stage_names_none(capsys, monkeypatch):

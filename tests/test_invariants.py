@@ -16,7 +16,7 @@ from torika.groups import cyclic_group, trivial_group
 from torika.invariants import brauer_kernel, class_group, full_report
 from torika.linalg import FinAbGroup, IntMatrix
 from torika.structure import (character_lattice, divisor_map,
-                              pure_divisorial_truncation)
+                              pure_divisorial_truncation, tropical_int_check)
 
 from conftest import (FIXTURE_NAMES, PURE_DIVISORIAL_FIXTURES,
                       TRIVIAL_GROUP_FIXTURES, load_fixture, rand_unimodular)
@@ -180,6 +180,23 @@ def test_brauer_kernel_builds_no_ray_lattice(monkeypatch):
     for name, fan, kernel in zip(FIXTURE_NAMES, fans, want):
         assert brauer_kernel(fan) == kernel, name
         assert full_report(load_fixture(name).fan).brauer_kernel == kernel, name
+
+
+def test_report_builds_no_standard_fan(monkeypatch):
+    # the integrality check is the orbit-stabilizer bijection of cosets
+    # onto rays, so it builds neither the standard fan nor rho
+    fans = [load_fixture(name).fan for name in FIXTURE_NAMES]
+    want = [(full_report(fan), [tropical_int_check(pure_divisorial_truncation(fan), bound)
+                                for bound in range(7)]) for fan in fans]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the integrality check builds no standard fan")
+    for name in ("rho_map", "standard_fan", "FanMorphism", "pure_divisorial_support"):
+        monkeypatch.setattr(import_module("torika.structure"), name, refuse)
+    for name, fan, (report, checks) in zip(FIXTURE_NAMES, fans, want):
+        assert full_report(fan) == report, name
+        assert [tropical_int_check(pure_divisorial_truncation(fan), bound)
+                for bound in range(7)] == checks, name
 
 
 def _phi12_fan():

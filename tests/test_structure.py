@@ -21,7 +21,8 @@ from torika.structure import (AffineStructure, FanMorphism, affine_structure,
                               TropicalCheckResult, tropical_int_check)
 
 from conftest import (EXPLICIT_GROUPS, FIXTURE_NAMES, PURE_DIVISORIAL_FIXTURES,
-                      load_fixture, random_smooth_fan)
+                      bench_data, load_fixture, random_smooth_fan)
+from test_brauer_oracle import _character_fan
 from test_cohomology import DIFFERENTIAL_GROUPS, _product_fan
 
 C2 = cyclic_group(2)
@@ -249,6 +250,11 @@ def test_tropical_check_requires_pure():
         tropical_int_check(A2, 3)
 
 
+def test_tropical_check_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match="^bound must be nonnegative$"):
+        tropical_int_check(load_fixture("standard_c2").fan, -1)
+
+
 def test_tropical_check_random_truncations():
     rng = random.Random(31)
     for _ in range(6):
@@ -285,7 +291,7 @@ def per_point_tropical_check(fan, bound):
                                uncovered=uncovered, unexpected=unexpected)
 
 
-def test_tropical_check_matches_per_point_route():
+def test_tropical_check_matches_per_point_route(tmp_path):
     rng = random.Random(4711)
     fans = [load_fixture(name).fan for name in FIXTURE_NAMES]
     fans += [random_smooth_fan(rng) for _ in range(6)]
@@ -295,6 +301,23 @@ def test_tropical_check_matches_per_point_route():
         for bound in range(7):
             assert (tropical_int_check(fan, bound)
                     == per_point_tropical_check(fan, bound)), (fan, bound)
+    # groups that act: the orbits have several rays and the stabilizers
+    # several elements, so the coset -> ray rule is exercised
+    rng = random.Random(20261018)
+    acting = [datum.fan for _, datum in bench_data("galois-descent", 1, tmp_path)]
+    acting += [_character_fan(rng, group, k)
+               for group in DIFFERENTIAL_GROUPS + EXPLICIT_GROUPS for k in (False, True)]
+    shapes = {"orbit": 0, "stabilizer": 0}
+    for fan in acting:
+        fan = pure_divisorial_truncation(fan)
+        shapes["orbit"] += any(len(o) > 1 for o, _ in fan.ray_orbits())
+        shapes["stabilizer"] += any(1 < s.order < fan.group.order for _, s in fan.ray_orbits())
+        for bound in range(4):
+            assert (tropical_int_check(fan, bound)
+                    == per_point_tropical_check(fan, bound)), (fan, bound)
+    print(f"{len(acting)} fans with a group: {shapes['orbit']} with an orbit of "
+          f"several rays, {shapes['stabilizer']} with a proper nontrivial stabilizer")
+    assert shapes["orbit"] >= 50 and shapes["stabilizer"] >= 20, shapes
 
 
 def _unstable_element(fan, cone):
