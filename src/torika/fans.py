@@ -233,8 +233,8 @@ def _extreme_directions(b):
     """Extreme rays of {t : b @ t >= 0} for a full-column-rank integer b.
 
     Brute force over (q-1)-subsets of the constraints.  The pair test
-    calls it on the reduced system of _meet_in_common_face, with one row
-    per ray outside the shared ones, so the subsets stay few.
+    calls it only as the fallback, when no Stiemke certificate is found
+    for the reduced system of _meet_in_common_face.
     """
     m, q = b.shape
     if q == 0:
@@ -269,6 +269,12 @@ def _meet_in_common_face(fan: GFan, c1: Cone, c2: Cone) -> bool:
     nonzero (a', b') >= 0 has V' a' - W' b' in span C.  Those (a', b') are
     B' t, B' the V' and W' rows of the kernel of [V' | -W' | C], of full
     column rank as C is independent: good iff B' t >= 0 has no extreme ray.
+
+    By Stiemke's theorem that holds iff some y > 0 has y B' = 0.  The
+    integer basis of that left kernel and, if it has several vectors,
+    their sum are tried as y (up to sign); one that works is a
+    certificate.  Only without one are the extreme rays enumerated.  A
+    B' with no columns needs neither: its cone is {0}.
     """
     s1, s2 = set(c1.rays), set(c2.rays)
     if s1 <= s2 or s2 <= s1:
@@ -277,8 +283,14 @@ def _meet_in_common_face(fan: GFan, c1: Cone, c2: Cone) -> bool:
     own2 = [tuple(-x for x in fan.rays[i].generator) for i in c2.rays if i not in s1]
     common = [fan.rays[i].generator for i in c1.rays if i in s2]
     system = np.array(own1 + own2 + common, dtype=object).reshape(-1, fan.rank).T
-    basis = _kernel_array(system)
-    return not _extreme_directions(basis[:len(own1) + len(own2), :])
+    reduced = _kernel_array(system)[:len(own1) + len(own2), :]
+    if not reduced.shape[1]:
+        return True
+    left = _kernel_array(reduced.T).T.tolist()
+    if len(left) > 1:
+        left.append([sum(col) for col in zip(*left)])
+    certified = any(all(x > 0 for x in y) or all(x < 0 for x in y) for y in left)
+    return certified or not _extreme_directions(reduced)
 
 
 def validate_fan(fan: GFan) -> ValidationReport:
@@ -287,7 +299,11 @@ def validate_fan(fan: GFan) -> ValidationReport:
         problems = _layout_problems(fan)
         # geometry: only meaningful once the combinatorial layer is clean
         if not problems:
-            dependent = [c.rays for c in fan.cones if not _independent(fan, c)]
+            # Faces of independent cones are independent, so the other
+            # cones are scanned only when some maximal cone is dependent.
+            dependent = []
+            if not all(_independent(fan, c) for c in fan.maximal_cones()):
+                dependent = [c.rays for c in fan.cones if not _independent(fan, c)]
             problems = [f"cone {rays} has linearly dependent generators"
                         for rays in dependent]
             # Faces of simplicial cones meet along their shared generators,
@@ -385,7 +401,7 @@ def is_smooth_cone(fan: GFan, cone) -> bool:
     """Whether the cone's generators extend to a basis of the lattice."""
     fan.require_valid()
     cone = _checked_cone(fan, cone)
-    if cone.is_zero:
+    if len(cone) <= 1:  # the rays of a valid fan are primitive
         return True
     gens = np.array([fan.rays[i].generator for i in cone.rays], dtype=object)
     s = _smith(gens)[0]

@@ -470,6 +470,52 @@ def test_pair_predicate_rejects_lattice_witnesses():
     assert witnessed >= 30
 
 
+def test_product_fans_validate_without_enumeration(monkeypatch):
+    """Every good pair of (P^1)^d has a Stiemke certificate."""
+    from torika import fans as fans_module
+
+    calls = []
+    monkeypatch.setattr(fans_module, "_extreme_directions",
+                        lambda b: calls.append(b) or _extreme_directions(b))
+    rng = random.Random(4242)
+    for d in range(2, 6):
+        assert validate_fan(product_fan(rng, d)).ok
+    assert len(calls) == 0
+
+
+def test_certificate_never_accepts_a_bad_pair(monkeypatch):
+    """With the fallback made to answer bad, only certificates say good."""
+    from torika import fans as fans_module
+
+    rng = random.Random(8080)  # the cases of test_pair_predicate_matches_full_system
+    fans = [product_fan(rng, 3) for _ in range(3)]
+    fans += [product_fan(rng, 4) for _ in range(2)]
+    fans += [broken_fan(rng) for _ in range(40)]
+    fans += data_file_fans()
+    cases = [(fan, a, b) for fan in fans for a, b in independent_maximal_pairs(fan)]
+    cases += [random_cone_pair_fan(rng) for _ in range(300)]
+    truth = [full_system_meet(fan, a, b) for fan, a, b in cases]
+    monkeypatch.setattr(fans_module, "_extreme_directions", lambda b: [None])
+    certified = [_meet_in_common_face(fan, a, b) for fan, a, b in cases]
+    assert all(good for good, cert in zip(truth, certified) if cert)
+    assert truth.count(False) >= 60 and certified.count(True) >= 200
+
+
+def test_dependent_cones_listed_in_cone_order():
+    """One dependent maximal cone: every dependent face is still listed."""
+    rays = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)]
+    listed = GFan.from_max_cones(3, rays, [(0, 1, 2, 3), (0, 4)])
+    fan = GFan(3, rays, listed.cones[::-1], listed.action)  # largest first
+
+    def dependent(problems):
+        return [p for p in problems if "dependent" in p]
+
+    assert dependent(validate_fan(fan).problems) == [
+        f"cone {c} has linearly dependent generators"
+        for c in ((0, 1, 2, 3), (0, 1, 2))]
+    assert dependent(validate_fan(fan).problems) == dependent(all_pairs_problems(fan))
+
+
 def test_is_smooth_is_computed_once(monkeypatch):
     from torika import fans as fans_module
     from torika.invariants import full_report
