@@ -1,11 +1,10 @@
 """Rational fans with a finite group action on the ambient lattice.
 
 A fan is stored combinatorially: primitive ray generators plus the list
-of cones as sets of ray indices.  All geometry (memberships, cone
-intersections) is decided exactly from integer kernels, never with
-floating point.  Validation returns a report listing every violated
-condition instead of stopping at the first one, so malformed input can
-be diagnosed in full.
+of cones as sets of ray indices.  All geometry is decided exactly from
+one Smith form per cone and integer kernels, never with floating point.
+Validation returns a report listing every violated condition instead of
+stopping at the first one, so malformed input can be diagnosed in full.
 """
 
 from __future__ import annotations
@@ -13,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import combinations, product
+from operator import mul
 
 from .cohomology import GLattice, trivial_lattice
 from .errors import FanValidationError, NotInFanError
 from .groups import FiniteGroup, Subgroup, trivial_group
-from .linalg import _content, _kernel_array, _rank, _smith
+from .linalg import _content, _eye, _kernel_array, _smith
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class Cone:
     def __contains__(self, i):
         return i in self.rays
 
-    @property
-    def is_zero(self):
-        return not self.rays
-
     def __repr__(self):
         return f"Cone{self.rays}"
 
@@ -73,6 +69,44 @@ def _as_cone(c):
 
 def _as_ray(r):
     return r if isinstance(r, Ray) else Ray(tuple(r))
+
+
+@dataclass(frozen=True)
+class ConeForm:
+    """One Smith form u G v = S of a cone's generator matrix G (k x n).
+
+    G is independent iff k d_i are nonzero, smooth iff all are 1.  If it
+    is independent, normals are the columns of v[:, k:], orthogonal to
+    G's rows, and duals those of L = v[:, :k] diag(d_k/d_i) u: G L = d_k I.
+    """
+
+    independent: bool
+    smooth: bool
+    normals: tuple = ()
+    duals: tuple = ()
+
+    @classmethod
+    def of(cls, generators, n):
+        k = len(generators)
+        s, u, v, _ = _smith(np.array(generators, dtype=object).reshape(k, n),
+                            left=_eye(k), want_v=True)
+        d = [s[i, i] for i in range(min(k, n)) if s[i, i]]
+        if len(d) < k:
+            return cls(False, False)
+        dual = v[:, :k] * np.array([d[-1] // x for x in d], dtype=object) @ u
+        return cls(True, all(x == 1 for x in d), tuple(map(tuple, v[:, k:].T.tolist())),
+                   tuple(map(tuple, dual.T.tolist())))
+
+    def contains(self, points):
+        """Which rows p of an object array lie in the cone: those in G's
+        span (p v[:, k:] = 0) with nonnegative coordinates d_k c = p L."""
+        if not self.independent:
+            raise ValueError("membership needs linearly independent generators")
+        inside = np.ones(len(points), dtype=bool)
+        for vectors, keep in ((self.normals, np.equal), (self.duals, np.greater_equal)):
+            if vectors:
+                inside &= keep(points.dot(np.array(vectors, dtype=object).T), 0).all(axis=1)
+        return inside
 
 
 def _cached(method):
@@ -149,6 +183,14 @@ class GFan:
                 top.append(i)
         return tuple(self.cones[i] for i in sorted(top))
 
+    def cone_form(self, cone):
+        """The cone's ConeForm, computed once per cone and kept."""
+        forms = self._cache.setdefault("forms", {})
+        if cone.rays not in forms:
+            forms[cone.rays] = ConeForm.of(
+                [self.rays[i].generator for i in cone.rays], self.rank)
+        return forms[cone.rays]
+
     @_cached
     def ray_permutations(self):
         """For each group element, the image of every ray index under it.
@@ -207,35 +249,19 @@ class ValidationReport:
         return "\n".join(self.problems)
 
 
-def _in_cone(generators, point) -> bool:
-    """Whether point is a nonnegative combination of the generators.
-
-    The generators must be linearly independent, so the kernel of
-    [V | -p] is at most a line; p is in the cone iff that line has a
-    vector (c, t) with t != 0 and every c_i * t >= 0, as then p = V c / t.
-    """
-    system = np.array(list(generators) + [tuple(-x for x in point)],
-                      dtype=object).reshape(len(generators) + 1, len(point)).T
-    kernel = _kernel_array(system)
-    if not kernel.shape[1]:
-        return False
-    *c, t = kernel[:, 0].tolist()
-    return t != 0 and all(x * t >= 0 for x in c)
+def _points(rows, rank):
+    return np.array(rows, dtype=object).reshape(len(rows), rank)
 
 
 def cone_contains_point(fan: GFan, cone, point) -> bool:
     """Exact membership of an integer point in a cone of the fan."""
-    cone = _as_cone(cone)
-    return _in_cone([fan.rays[i].generator for i in cone.rays], tuple(point))
+    return bool(fan.cone_form(_as_cone(cone)).contains(_points([point], fan.rank))[0])
 
 
 def _extreme_directions(b):
-    """Extreme rays of {t : b @ t >= 0} for a full-column-rank integer b.
-
-    Brute force over (q-1)-subsets of the constraints.  The pair test
-    calls it only as the fallback, when no Stiemke certificate is found
-    for the reduced system of _meet_in_common_face.
-    """
+    """Extreme rays of {t : b @ t >= 0} for a full-column-rank integer b, by
+    brute force over (q-1)-subsets of the constraints: the last resort of
+    _meet_in_common_face, for pairs without a certificate."""
     m, q = b.shape
     if q == 0:
         return []
@@ -259,10 +285,29 @@ def _extreme_directions(b):
     return out
 
 
+def _separated(fan: GFan, c1: Cone, c2: Cone) -> bool:
+    """Whether the duals of one cone's own rays, summed, separate the pair.
+
+    For sigma = c1, then c2 (not a ray), the sum m is >= 0 on sigma and 0
+    exactly on the common face; m w < 0 on the other cone's own rays w
+    then gives m <= 0 there (Fulton, Introduction to Toric Varieties, 1.2).
+    """
+    for sigma, tau in ((c1, c2), (c2, c1)):
+        if len(sigma) < 2:
+            continue
+        m = [sum(x) for x in zip(*(f for i, f in zip(sigma.rays, fan.cone_form(sigma).duals)
+                                   if i not in tau.rays))]
+        if all(sum(map(mul, m, fan.rays[i].generator)) < 0
+               for i in tau.rays if i not in sigma.rays):
+            return True
+    return False
+
+
 def _meet_in_common_face(fan: GFan, c1: Cone, c2: Cone) -> bool:
     """Whether two simplicial cones intersect exactly in their common face.
 
-    Write V = [V' | C] and W = [W' | C], C the shared rays.  V and W are
+    A separating functional (_separated) is tried first.  Without one,
+    write V = [V' | C] and W = [W' | C], C the shared rays.  V and W are
     each independent, so a point V a = W b lies in the common face iff
     a' = 0 and b' = 0, and the shared coefficients drop out, as any gamma
     is alpha - beta with alpha, beta >= 0.  So the pair is good iff no
@@ -271,13 +316,12 @@ def _meet_in_common_face(fan: GFan, c1: Cone, c2: Cone) -> bool:
     column rank as C is independent: good iff B' t >= 0 has no extreme ray.
 
     By Stiemke's theorem that holds iff some y > 0 has y B' = 0.  The
-    integer basis of that left kernel and, if it has several vectors,
-    their sum are tried as y (up to sign); one that works is a
-    certificate.  Only without one are the extreme rays enumerated.  A
-    B' with no columns needs neither: its cone is {0}.
+    basis of that left kernel and its sum are tried as y, up to sign;
+    only without one are the extreme rays enumerated.  A B' with no
+    columns needs neither: its cone is {0}.
     """
     s1, s2 = set(c1.rays), set(c2.rays)
-    if s1 <= s2 or s2 <= s1:
+    if s1 <= s2 or s2 <= s1 or _separated(fan, c1, c2):
         return True
     own1 = [fan.rays[i].generator for i in c1.rays if i not in s2]
     own2 = [tuple(-x for x in fan.rays[i].generator) for i in c2.rays if i not in s1]
@@ -301,9 +345,12 @@ def validate_fan(fan: GFan) -> ValidationReport:
         if not problems:
             # Faces of independent cones are independent, so the other
             # cones are scanned only when some maximal cone is dependent.
-            dependent = []
-            if not all(_independent(fan, c) for c in fan.maximal_cones()):
-                dependent = [c.rays for c in fan.cones if not _independent(fan, c)]
+            # A ray is independent once the layout is clean.
+            dependent = [c.rays for c in fan.maximal_cones()
+                         if len(c) > 1 and not fan.cone_form(c).independent]
+            if dependent:
+                dependent = [c.rays for c in fan.cones
+                             if len(c) > 1 and not fan.cone_form(c).independent]
             problems = [f"cone {rays} has linearly dependent generators"
                         for rays in dependent]
             # Faces of simplicial cones meet along their shared generators,
@@ -364,13 +411,6 @@ def _layout_problems(fan: GFan):
     return problems
 
 
-def _independent(fan: GFan, cone: Cone) -> bool:
-    if cone.is_zero:
-        return True
-    gens = np.array([fan.rays[i].generator for i in cone.rays], dtype=object)
-    return _rank(gens) == len(cone)
-
-
 def _action_problems(fan: GFan):
     """Rays the group sends off the ray set, else cones sent off the fan."""
     perms = fan.ray_permutations()
@@ -401,14 +441,7 @@ def is_smooth_cone(fan: GFan, cone) -> bool:
     """Whether the cone's generators extend to a basis of the lattice."""
     fan.require_valid()
     cone = _checked_cone(fan, cone)
-    if len(cone) <= 1:  # the rays of a valid fan are primitive
-        return True
-    gens = np.array([fan.rays[i].generator for i in cone.rays], dtype=object)
-    s = _smith(gens)[0]
-    diag = [s[i, i] for i in range(min(gens.shape))]
-    return len([d for d in diag if d]) == len(cone) and all(
-        d in (0, 1) for d in diag
-    )
+    return len(cone) <= 1 or fan.cone_form(cone).smooth  # rays are primitive
 
 
 def is_smooth(fan: GFan) -> bool:
@@ -444,17 +477,16 @@ def ray_orbits(fan: GFan):
 def support_lattice_points(fan: GFan, bound: int):
     """All integer points of the fan's support with max-norm at most bound.
 
-    Membership is decided cone by cone from the integer kernel of
-    [V | -p] (`_in_cone`).
+    The box is tested against each maximal cone's ConeForm at once.
     """
     fan.require_valid()
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    cones = [[fan.rays[i].generator for i in cone.rays]
-             for cone in fan.maximal_cones()]
-    return tuple(sorted(
-        point for point in product(range(-bound, bound + 1), repeat=fan.rank)
-        if any(_in_cone(gens, point) for gens in cones)))
+    box = _points(list(product(range(-bound, bound + 1), repeat=fan.rank)), fan.rank)
+    inside = np.zeros(len(box), dtype=bool)
+    for cone in fan.maximal_cones():
+        inside |= fan.cone_form(cone).contains(box)
+    return tuple(map(tuple, box[inside].tolist()))  # the box is in sorted order
 
 
 def primitive_vector(vec):

@@ -19,8 +19,7 @@ from .cohomology import (GLattice, GLatticeMap, coset_permutations,
                          permutation_lattice)
 from .errors import (IncompatibleModulesError, MalformedSubgroupError,
                      NotDescendableError)
-from .fans import (GFan, _checked_cone, cone_contains_point,
-                   is_smooth_cone, ray_orbits)
+from .fans import GFan, _checked_cone, _points, is_smooth_cone, ray_orbits
 from .groups import FiniteGroup, Subgroup
 from .linalg import IntMatrix, _coords_in_basis, _kernel_array, _matmul
 
@@ -41,12 +40,11 @@ class FanMorphism:
 
     def __post_init__(self):
         GLatticeMap(self.source.action, self.target.action, self.matrix)
-        targets = self.target.maximal_cones()
+        forms = [self.target.cone_form(c) for c in self.target.maximal_cones()]
         for cone in self.source.cones:
-            images = [self.matrix.apply(self.source.rays[i].generator)
-                      for i in cone.rays]
-            if not any(all(cone_contains_point(self.target, c, p) for p in images)
-                       for c in targets):
+            images = _points([self.matrix.apply(self.source.rays[i].generator)
+                              for i in cone.rays], self.target.rank)
+            if not any(form.contains(images).all() for form in forms):
                 raise IncompatibleModulesError(
                     f"source cone {cone.rays} does not map into any target cone")
 

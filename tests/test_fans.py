@@ -15,14 +15,14 @@ import pytest
 from torika.cohomology import GLattice
 from torika.datum import load_datum
 from torika.errors import DatumError, FanValidationError, NotInFanError
-from torika.fans import (Cone, GFan, _action_problems, _extreme_directions,
-                         _independent, _layout_problems,
-                         _meet_in_common_face,
+from torika.fans import (Cone, ConeForm, GFan, _action_problems,
+                         _extreme_directions, _layout_problems,
+                         _meet_in_common_face, _separated,
                          cone_contains_point, is_smooth, is_smooth_cone,
                          orbit_count, orbit_dimension, primitive_vector,
                          ray_orbits, support_lattice_points, validate_fan)
 from torika.groups import cyclic_group, symmetric_group_3
-from torika.linalg import IntMatrix, _kernel_array, _rank
+from torika.linalg import IntMatrix, _kernel_array, _rank, _smith
 
 from conftest import (FIXTURE_DIR, load_fixture, rand_unimodular,
                       random_smooth_fan)
@@ -31,6 +31,13 @@ P2 = GFan.from_max_cones(2, [(1, 0), (0, 1), (-1, -1)],
                          [(0, 1), (1, 2), (0, 2)])
 A2 = GFan.from_max_cones(2, [(1, 0), (0, 1)], [(0, 1)])
 A2M = GFan.from_max_cones(2, [(1, 0), (0, 1)], [(0,), (1,)])
+
+
+def independent(fan, cone):
+    """Oracle for a cone's ConeForm: its generators have full rank."""
+    gens = np.array([fan.rays[i].generator for i in cone.rays],
+                    dtype=object).reshape(len(cone), fan.rank)
+    return _rank(gens) == len(cone)
 
 
 def problems_of(fan):
@@ -230,9 +237,10 @@ def test_support_points_lie_in_support():
     rng = random.Random(77)
     for _ in range(10):
         fan = random_smooth_fan(rng)
-        for point in support_lattice_points(fan, 2):
-            assert any(cone_contains_point(fan, c, point)
-                       for c in fan.maximal_cones())
+        gens = [[fan.rays[i].generator for i in c.rays] for c in fan.maximal_cones()]
+        assert support_lattice_points(fan, 2) == tuple(
+            point for point in product(range(-2, 3), repeat=fan.rank)
+            if any(_solve_nonneg_rational(g, point) is not None for g in gens))
 
 
 def _solve_nonneg_rational(generators, point):
@@ -314,7 +322,7 @@ def all_pairs_problems(fan):
         return tuple(problems)
     good = []
     for c in fan.cones:
-        if not _independent(fan, c):
+        if not independent(fan, c):
             problems.append(f"cone {c.rays} has linearly dependent generators")
         elif c.rays:
             good.append(c)
@@ -426,18 +434,19 @@ def random_cone_pair_fan(rng):
         c1 = Cone(picks[:rng.randint(max(shared, 1), rank)])
         c2 = Cone(picks[:shared] + picks[rank:][:rng.randint(1, rank - shared)])
         fan = GFan.from_max_cones(rank, rays, [c1.rays, c2.rays])
-        if _independent(fan, c1) and _independent(fan, c2):
+        if independent(fan, c1) and independent(fan, c2):
             return fan, c1, c2
 
 
 def independent_maximal_pairs(fan):
     if _layout_problems(fan):
         return []
-    good = [c for c in fan.maximal_cones() if c.rays and _independent(fan, c)]
+    good = [c for c in fan.maximal_cones() if c.rays and independent(fan, c)]
     return list(combinations(good, 2))
 
 
-def test_pair_predicate_matches_full_system():
+def pair_cases():
+    """1,250 seeded pairs of independent cones, good and bad."""
     rng = random.Random(8080)
     fans = [product_fan(rng, 3) for _ in range(3)]
     fans += [product_fan(rng, 4) for _ in range(2)]
@@ -445,6 +454,11 @@ def test_pair_predicate_matches_full_system():
     fans += data_file_fans()
     cases = [(fan, a, b) for fan in fans for a, b in independent_maximal_pairs(fan)]
     cases += [random_cone_pair_fan(rng) for _ in range(300)]
+    return cases
+
+
+def test_pair_predicate_matches_full_system():
+    cases = pair_cases()
     verdicts = []
     for fan, a, b in cases:
         verdict = _meet_in_common_face(fan, a, b)
@@ -471,34 +485,73 @@ def test_pair_predicate_rejects_lattice_witnesses():
 
 
 def test_product_fans_validate_without_enumeration(monkeypatch):
-    """Every good pair of (P^1)^d has a Stiemke certificate."""
+    """Every good pair but two rays has a separating functional: no kernel."""
     from torika import fans as fans_module
 
+    valid = [fan for fan in data_file_fans() if validate_fan(fan).ok]
     calls = []
-    monkeypatch.setattr(fans_module, "_extreme_directions",
-                        lambda b: calls.append(b) or _extreme_directions(b))
+    monkeypatch.setattr(fans_module, "_kernel_array",
+                        lambda a: calls.append(a) or _kernel_array(a))
     rng = random.Random(4242)
-    for d in range(2, 6):
+    for d in range(2, 7):
         assert validate_fan(product_fan(rng, d)).ok
-    assert len(calls) == 0
+    pairs = [(fan, a, b) for fan in valid
+             for a, b in combinations(fan.maximal_cones(), 2)
+             if max(len(a), len(b)) > 1]
+    assert all(_meet_in_common_face(fan, a, b) for fan, a, b in pairs)
+    assert len(calls) == 0 and len(pairs) >= 3
 
 
 def test_certificate_never_accepts_a_bad_pair(monkeypatch):
     """With the fallback made to answer bad, only certificates say good."""
     from torika import fans as fans_module
 
-    rng = random.Random(8080)  # the cases of test_pair_predicate_matches_full_system
-    fans = [product_fan(rng, 3) for _ in range(3)]
-    fans += [product_fan(rng, 4) for _ in range(2)]
-    fans += [broken_fan(rng) for _ in range(40)]
-    fans += data_file_fans()
-    cases = [(fan, a, b) for fan in fans for a, b in independent_maximal_pairs(fan)]
-    cases += [random_cone_pair_fan(rng) for _ in range(300)]
+    cases = pair_cases()
     truth = [full_system_meet(fan, a, b) for fan, a, b in cases]
     monkeypatch.setattr(fans_module, "_extreme_directions", lambda b: [None])
     certified = [_meet_in_common_face(fan, a, b) for fan, a, b in cases]
     assert all(good for good, cert in zip(truth, certified) if cert)
     assert truth.count(False) >= 60 and certified.count(True) >= 200
+
+
+def test_separating_functional_never_accepts_a_bad_pair():
+    cases = pair_cases()
+    truth = [full_system_meet(fan, a, b) for fan, a, b in cases]
+    separated = [_separated(fan, a, b) for fan, a, b in cases]
+    assert not any(sep and not good for good, sep in zip(truth, separated))
+    assert len(cases) == 1250 and truth.count(False) >= 60
+    assert separated.count(True) >= 1000
+
+
+def test_cone_form_matches_rank_and_smith_form():
+    rng = random.Random(1313)
+    seen = {"dependent": 0, "smooth": 0, "not smooth": 0, "not full": 0}
+    for _ in range(120):
+        rank = rng.randint(1, 4)
+        k = rng.randint(0, rank)
+        gens = random_cone_generators(rng, rank, k)
+        if gens and rng.random() < 0.3:  # a combination makes them dependent
+            gens.append(tuple(sum(rng.randint(-2, 2) * g[i] for g in gens)
+                              for i in range(rank)))
+        k = len(gens)
+        g = np.array(gens, dtype=object).reshape(k, rank)
+        form = ConeForm.of(gens, rank)
+        assert form.independent == (_rank(g) == k)
+        s = _smith(g)[0]
+        diag = [s[i, i] for i in range(min(g.shape))]
+        assert form.smooth == (len([d for d in diag if d]) == k
+                               and all(d in (0, 1) for d in diag))
+        if not form.independent:
+            seen["dependent"] += 1
+            continue
+        seen["smooth" if form.smooth else "not smooth"] += 1
+        seen["not full"] += k < rank
+        duals = np.array(form.duals, dtype=object).reshape(k, rank).T
+        normals = np.array(form.normals, dtype=object).reshape(-1, rank).T
+        top = diag[k - 1] if k else 1
+        assert (g.dot(duals) == top * np.eye(k, dtype=int)).all()
+        assert normals.shape[1] == rank - k and (g.dot(normals) == 0).all()
+    assert min(seen.values()) >= 15, seen
 
 
 def test_dependent_cones_listed_in_cone_order():
