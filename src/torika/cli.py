@@ -107,7 +107,7 @@ def _cmd_standard(args) -> int:
 def _cmd_invariants(args) -> int:
     for path in args.files:
         datum = load_datum(path, normalize_rays=args.normalize_rays)
-        rep = full_report(datum.fan, bound=args.bound)
+        rep = full_report(datum.fan)
         if args.format == "json":
             _emit_json({"file": path,
                         "class_group": _group_dict(rep.class_group),
@@ -266,9 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="emit the pure divisorial truncation"))
     common(sub.add_parser("standard",
                           help="emit the standard fan and the rho matrix"))
-    p = sub.add_parser("invariants", help="class group and Brauer kernel")
-    common(p)
-    p.add_argument("--bound", type=int, default=5)
+    common(sub.add_parser("invariants", help="class group and Brauer kernel"))
     p = sub.add_parser("cohomology",
                        help="group cohomology of a character lattice")
     common(p, files="*")

@@ -149,11 +149,9 @@ class GFan:
         for cone in max_cones:
             idx = tuple(sorted(set(cone)))
             for size in range(1, len(idx) + 1):
-                for sub in combinations(idx, size):
-                    closed.add(sub)
+                closed.update(combinations(idx, size))
         cones = tuple(Cone(c) for c in sorted(closed, key=lambda c: (len(c), c)))
-        return cls(rank=rank, rays=tuple(_as_ray(r) for r in rays),
-                   cones=cones, action=action)
+        return cls(rank, tuple(rays), cones, action)
 
     @property
     def group(self) -> FiniteGroup:
@@ -261,7 +259,7 @@ def cone_contains_point(fan: GFan, cone, point) -> bool:
 def _extreme_directions(b):
     """Extreme rays of {t : b @ t >= 0} for a full-column-rank integer b, by
     brute force over (q-1)-subsets of the constraints: the last resort of
-    _meet_in_common_face, for pairs without a certificate."""
+    _meet_in_common_face, for pairs no functional separates."""
     m, q = b.shape
     if q == 0:
         return []
@@ -272,10 +270,7 @@ def _extreme_directions(b):
         null = _kernel_array(sub)
         if null.shape[1] != 1:
             continue
-        d = [int(x) for x in null[:, 0]]
-        g = _content(d)
-        if g:
-            d = [x // g for x in d]
+        d = list(primitive_vector(null[:, 0]))
         img = b.dot(np.array(d, dtype=object)).tolist()
         if all(x <= 0 for x in img):  # only -d can then meet b @ t >= 0
             d, img = [-x for x in d], [-x for x in img]
@@ -288,13 +283,11 @@ def _extreme_directions(b):
 def _separated(fan: GFan, c1: Cone, c2: Cone) -> bool:
     """Whether the duals of one cone's own rays, summed, separate the pair.
 
-    For sigma = c1, then c2 (not a ray), the sum m is >= 0 on sigma and 0
-    exactly on the common face; m w < 0 on the other cone's own rays w
-    then gives m <= 0 there (Fulton, Introduction to Toric Varieties, 1.2).
+    For sigma = c1, then c2, the sum m is >= 0 on sigma and 0 exactly on
+    the common face; m w < 0 on the other cone's own rays w then gives
+    m <= 0 there (Fulton, Introduction to Toric Varieties, 1.2).
     """
     for sigma, tau in ((c1, c2), (c2, c1)):
-        if len(sigma) < 2:
-            continue
         m = [sum(x) for x in zip(*(f for i, f in zip(sigma.rays, fan.cone_form(sigma).duals)
                                    if i not in tau.rays))]
         if all(sum(map(mul, m, fan.rays[i].generator)) < 0
@@ -306,35 +299,31 @@ def _separated(fan: GFan, c1: Cone, c2: Cone) -> bool:
 def _meet_in_common_face(fan: GFan, c1: Cone, c2: Cone) -> bool:
     """Whether two simplicial cones intersect exactly in their common face.
 
-    A separating functional (_separated) is tried first.  Without one,
-    write V = [V' | C] and W = [W' | C], C the shared rays.  V and W are
-    each independent, so a point V a = W b lies in the common face iff
-    a' = 0 and b' = 0, and the shared coefficients drop out, as any gamma
-    is alpha - beta with alpha, beta >= 0.  So the pair is good iff no
-    nonzero (a', b') >= 0 has V' a' - W' b' in span C.  Those (a', b') are
-    B' t, B' the V' and W' rows of the kernel of [V' | -W' | C], of full
-    column rank as C is independent: good iff B' t >= 0 has no extreme ray.
-
-    By Stiemke's theorem that holds iff some y > 0 has y B' = 0.  The
-    basis of that left kernel and its sum are tried as y, up to sign;
-    only without one are the extreme rays enumerated.  A B' with no
-    columns needs neither: its cone is {0}.
+    Nested cones do.  Two rays do too, as the layout check makes them
+    distinct and primitive, and a ray w against a larger cone sigma does
+    iff w is not in sigma.  Two larger cones try a separating functional
+    (_separated) first.  Without one, write V = [V' | C] and W = [W' | C],
+    C the shared rays.  V and W are each independent, so a point V a = W b
+    lies in the common face iff a' = 0 and b' = 0, and the shared
+    coefficients drop out, as any gamma is alpha - beta with alpha,
+    beta >= 0.  So the pair is good iff no nonzero (a', b') >= 0 has
+    V' a' - W' b' in span C.  Those (a', b') are B' t, B' the V' and W'
+    rows of the kernel of [V' | -W' | C], of full column rank as C is
+    independent: good iff B' t >= 0 has no extreme ray.
     """
     s1, s2 = set(c1.rays), set(c2.rays)
-    if s1 <= s2 or s2 <= s1 or _separated(fan, c1, c2):
+    if s1 <= s2 or s2 <= s1 or len(c1) == len(c2) == 1:
+        return True
+    if min(len(c1), len(c2)) == 1:
+        ray, sigma = (c1, c2) if len(c1) == 1 else (c2, c1)
+        return not cone_contains_point(fan, sigma, fan.rays[ray.rays[0]].generator)
+    if _separated(fan, c1, c2):
         return True
     own1 = [fan.rays[i].generator for i in c1.rays if i not in s2]
     own2 = [tuple(-x for x in fan.rays[i].generator) for i in c2.rays if i not in s1]
     common = [fan.rays[i].generator for i in c1.rays if i in s2]
     system = np.array(own1 + own2 + common, dtype=object).reshape(-1, fan.rank).T
-    reduced = _kernel_array(system)[:len(own1) + len(own2), :]
-    if not reduced.shape[1]:
-        return True
-    left = _kernel_array(reduced.T).T.tolist()
-    if len(left) > 1:
-        left.append([sum(col) for col in zip(*left)])
-    certified = any(all(x > 0 for x in y) or all(x < 0 for x in y) for y in left)
-    return certified or not _extreme_directions(reduced)
+    return not _extreme_directions(_kernel_array(system)[:len(own1) + len(own2), :])
 
 
 def validate_fan(fan: GFan) -> ValidationReport:
@@ -364,6 +353,16 @@ def validate_fan(fan: GFan) -> ValidationReport:
             problems += _action_problems(fan)
         fan._cache["report"] = ValidationReport(tuple(problems))
     return fan._cache["report"]
+
+
+def _valid_subfan(fan: GFan, cones) -> GFan:
+    """A face-closed, G-stable set of a valid fan's cones, as a fan: valid,
+    with the same rays and action, it inherits the report and ray orbits."""
+    sub = GFan(fan.rank, fan.rays, cones, fan.action)
+    sub._cache.update(report=validate_fan(fan.require_valid()),
+                      ray_permutations=fan.ray_permutations(),
+                      ray_orbits=fan.ray_orbits())
+    return sub
 
 
 def _layout_problems(fan: GFan):

@@ -19,7 +19,8 @@ from .cohomology import (GLattice, GLatticeMap, coset_permutations,
                          permutation_lattice)
 from .errors import (IncompatibleModulesError, MalformedSubgroupError,
                      NotDescendableError)
-from .fans import GFan, _checked_cone, _points, is_smooth_cone, ray_orbits
+from .fans import (GFan, _checked_cone, _points, _valid_subfan, is_smooth_cone,
+                   ray_orbits)
 from .groups import FiniteGroup, Subgroup
 from .linalg import IntMatrix, _coords_in_basis, _kernel_array, _matmul
 
@@ -77,13 +78,13 @@ def pure_divisorial_truncation(fan: GFan) -> GFan:
 
     Geometrically this removes the closed strata of codimension >= 2,
     leaving the maximal open subvariety whose orbits all have dimension
-    >= rank - 1.  A fan that is already pure divisorial is returned as is.
+    >= rank - 1.  A pure divisorial fan is returned as is; the subfan of
+    any other inherits its validation and ray orbits.
     """
     fan.require_valid()
     if is_pure_divisorial(fan):
         return fan
-    kept = tuple(c for c in fan.cones if len(c) <= 1)
-    return GFan(rank=fan.rank, rays=fan.rays, cones=kept, action=fan.action)
+    return _valid_subfan(fan, tuple(c for c in fan.cones if len(c) <= 1))
 
 
 def affine_structure(fan: GFan, cone) -> AffineStructure:

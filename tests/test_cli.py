@@ -11,7 +11,7 @@ from torika.cohomology import cohomology, trivial_lattice
 from torika.errors import ResourceLimitError
 from torika.groups import group_preset
 
-from conftest import fixture_path
+from conftest import FIXTURE_NAMES, fixture_path
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -78,6 +78,24 @@ def test_invariants_text(capsys):
     assert code == 0
     assert "class_group = Z/3" in out
     assert "brauer_kernel = 0" in out
+
+
+def test_invariants_agree_with_report_on_fixtures(capsys):
+    # invariants takes no --bound: no bound changes what it prints
+    for name in FIXTURE_NAMES:
+        path = fixture_path(name)
+        report = json.loads(run(capsys, "report", "--format", "json", path)[1])
+        code, out, err = run(capsys, "invariants", "--format", "json", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"file": path, **{
+            key: report[key] for key in ("class_group", "brauer_kernel", "splitting_group")}}
+        assert run(capsys, "invariants", path) == (0, (
+            f"{path}: class_group = {report['class_group']['pretty']}\n"
+            f"{path}: brauer_kernel = {report['brauer_kernel']['pretty']} "
+            f"(splitting group {report['splitting_group']})\n"), "")
+        with pytest.raises(SystemExit):
+            main(["invariants", "--bound", "5", path])
+        capsys.readouterr()
 
 
 def test_report_text(capsys):

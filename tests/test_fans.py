@@ -23,8 +23,9 @@ from torika.fans import (Cone, ConeForm, GFan, _action_problems,
                          ray_orbits, support_lattice_points, validate_fan)
 from torika.groups import cyclic_group, symmetric_group_3
 from torika.linalg import IntMatrix, _kernel_array, _rank, _smith
+from torika.structure import is_pure_divisorial, pure_divisorial_truncation
 
-from conftest import (FIXTURE_DIR, load_fixture, rand_unimodular,
+from conftest import (FIXTURE_DIR, bench_data, load_fixture, rand_unimodular,
                       random_smooth_fan)
 
 P2 = GFan.from_max_cones(2, [(1, 0), (0, 1), (-1, -1)],
@@ -485,7 +486,7 @@ def test_pair_predicate_rejects_lattice_witnesses():
 
 
 def test_product_fans_validate_without_enumeration(monkeypatch):
-    """Every good pair but two rays has a separating functional: no kernel."""
+    """Nesting, the ray rules and the functional decide every good pair."""
     from torika import fans as fans_module
 
     valid = [fan for fan in data_file_fans() if validate_fan(fan).ok]
@@ -503,7 +504,8 @@ def test_product_fans_validate_without_enumeration(monkeypatch):
 
 
 def test_certificate_never_accepts_a_bad_pair(monkeypatch):
-    """With the fallback made to answer bad, only certificates say good."""
+    """With enumeration made to answer bad, nesting, the ray rules and the
+    functional say good on good pairs only."""
     from torika import fans as fans_module
 
     cases = pair_cases()
@@ -512,6 +514,36 @@ def test_certificate_never_accepts_a_bad_pair(monkeypatch):
     certified = [_meet_in_common_face(fan, a, b) for fan, a, b in cases]
     assert all(good for good, cert in zip(truth, certified) if cert)
     assert truth.count(False) >= 60 and certified.count(True) >= 200
+
+
+def test_pairs_with_a_ray_take_no_kernel(monkeypatch):
+    """A ray meets a ray in 0, and a cone iff it lies in it: no kernel."""
+    from torika import fans as fans_module
+
+    cases = [(fan, a, b) for fan, a, b in pair_cases() if min(len(a), len(b)) == 1]
+    truth = [full_system_meet(fan, a, b) for fan, a, b in cases]
+    calls = []
+    monkeypatch.setattr(fans_module, "_kernel_array",
+                        lambda a: calls.append(a) or _kernel_array(a))
+    assert [_meet_in_common_face(fan, a, b) for fan, a, b in cases] == truth
+    assert len(calls) == 0
+    assert truth.count(False) >= 10 and truth.count(True) >= 100
+
+
+def test_pure_divisorial_fans_validate_without_a_kernel(monkeypatch, tmp_path):
+    """Only ray pairs, so the data and truncations take no kernel."""
+    from torika import fans as fans_module
+
+    rng = random.Random(5151)
+    sources = [datum.fan for _, datum in bench_data("galois-descent", 1, tmp_path)]
+    sources += [pure_divisorial_truncation(product_fan(rng, d)) for d in range(1, 6)]
+    fans = [GFan(fan.rank, fan.rays, fan.cones, fan.action) for fan in sources]
+    assert all(is_pure_divisorial(fan) for fan in fans)
+    calls = []
+    monkeypatch.setattr(fans_module, "_kernel_array",
+                        lambda a: calls.append(a) or _kernel_array(a))
+    assert all(validate_fan(fan).ok for fan in fans)
+    assert len(calls) == 0 and len(fans) >= 100
 
 
 def test_separating_functional_never_accepts_a_bad_pair():

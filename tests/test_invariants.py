@@ -11,7 +11,7 @@ from torika.cohomology import (GLattice, cohomology, kernel_of_h2_map,
                                kernel_of_h2_map_via_presentations,
                                trivial_lattice)
 from torika.errors import ResourceLimitError, StageError
-from torika.fans import Cone, GFan
+from torika.fans import Cone, GFan, validate_fan
 from torika.groups import cyclic_group, trivial_group
 from torika.invariants import brauer_kernel, class_group, full_report
 from torika.linalg import FinAbGroup, IntMatrix
@@ -20,6 +20,7 @@ from torika.structure import (character_lattice, divisor_map,
 
 from conftest import (FIXTURE_NAMES, PURE_DIVISORIAL_FIXTURES,
                       TRIVIAL_GROUP_FIXTURES, load_fixture, rand_unimodular)
+from test_cohomology import DIFFERENTIAL_GROUPS, _product_fan
 
 C2 = cyclic_group(2)
 
@@ -197,6 +198,32 @@ def test_report_builds_no_standard_fan(monkeypatch):
         assert full_report(fan) == report, name
         assert [tropical_int_check(pure_divisorial_truncation(fan), bound)
                 for bound in range(7)] == checks, name
+
+
+def test_report_proves_each_fan_once(monkeypatch):
+    # the truncation is a face-closed, G-stable subfan of a valid fan with
+    # the same rays and action: it inherits the validation and ray orbits
+    from torika import fans as fans_module
+
+    rng = random.Random(6161)
+    fans = [load_fixture(name).fan for name in FIXTURE_NAMES
+            if name not in PURE_DIVISORIAL_FIXTURES]
+    fans += [_product_fan(rng, group) for group in DIFFERENTIAL_GROUPS for _ in range(3)]
+    calls = []
+    for name in ("_layout_problems", "_action_problems"):
+        check = getattr(fans_module, name)
+        monkeypatch.setattr(fans_module, name,
+                            lambda fan, check=check: calls.append(fan) or check(fan))
+    for fan in fans:
+        full_report(fan)
+    assert len(calls) == 0
+    truncations = [pure_divisorial_truncation(fan) for fan in fans]
+    assert sum(sub is not fan for sub, fan in zip(truncations, fans)) >= 20
+    for sub in truncations:
+        fresh = GFan(sub.rank, sub.rays, sub.cones, sub.action)
+        assert validate_fan(sub) == validate_fan(fresh)
+        assert sub.ray_permutations() == fresh.ray_permutations()
+        assert sub.ray_orbits() == fresh.ray_orbits()
 
 
 def _phi12_fan():
