@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import combinations, product
-from operator import mul
+from operator import index, mul
 
 from .cohomology import GLattice, trivial_lattice
 from .errors import FanValidationError, NotInFanError
@@ -29,7 +29,7 @@ class Ray(object):
     generator: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "generator", tuple(int(x) for x in self.generator))
+        object.__setattr__(self, "generator", tuple(map(index, self.generator)))
 
     @property
     def max_norm(self):
@@ -48,7 +48,7 @@ class Cone:
     rays: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(sorted(set(int(i) for i in self.rays))))
+        object.__setattr__(self, "rays", tuple(sorted(set(map(index, self.rays)))))
 
     def __len__(self):
         return len(self.rays)

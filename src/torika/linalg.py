@@ -1,9 +1,11 @@
 """Exact integer linear algebra over Z.
 
-All arithmetic is done with Python's arbitrary-precision integers; numpy
-arrays with dtype=object serve purely as containers, so fixed-width
-overflow cannot occur.  The public IntMatrix wraps one such array,
-read-only, so the routines here take and return it without conversion.
+All arithmetic is done with Python's arbitrary-precision integers, so
+fixed-width overflow cannot occur.  numpy arrays with dtype=object are
+the container at every boundary: the public IntMatrix wraps one such
+array, read-only, and the routines here take and return it without
+conversion.  The Smith kernel (`_smith`) converts once on entry and
+once on exit and runs its eliminations on lists of Python int rows.
 Normal-form routines pick the smallest available pivot, which keeps
 intermediate entries modest on the structured matrices produced
 elsewhere in the package.  Every exact solve goes through one Smith
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import neg
+from operator import index, neg
 
 import numpy as np
 
@@ -51,7 +53,7 @@ class IntMatrix:
     __slots__ = ("_a",)
 
     def __init__(self, rows, cols=None):
-        data = [list(map(int, row)) for row in rows]
+        data = [list(map(index, row)) for row in rows]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -82,7 +84,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows=None):
-        cols = [list(map(int, c)) for c in columns]
+        cols = [list(map(index, c)) for c in columns]
         if cols:
             if any(len(c) != len(cols[0]) for c in cols):
                 raise ValueError("columns have unequal lengths")
@@ -149,7 +151,7 @@ class IntMatrix:
 
     def apply(self, vector):
         """Matrix times column vector, returned as a tuple."""
-        vec = np.array([int(x) for x in vector], dtype=object)
+        vec = np.array([index(x) for x in vector], dtype=object)
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} against {self.shape}")
         return tuple(self._a.dot(vec).tolist())
@@ -215,9 +217,10 @@ class FinAbGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", index(self.free_rank))
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(map(index, self.torsion)))
         for d in self.torsion:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
@@ -264,12 +267,12 @@ class FinAbGroup:
 
 
 def _find_pivot(s, k):
-    m, n = s.shape
-    best = None
-    where = None
-    for i in range(k, m):
+    """(i, j) of the first entry, in row order, of least absolute value
+    among rows and columns k onwards, or None when they are all zero."""
+    best = where = None
+    for i in range(k, len(s)):
         row = s[i]
-        for j in range(k, n):
+        for j in range(k, len(row)):
             x = row[j]
             if x:
                 if x < 0:
@@ -290,65 +293,71 @@ def _smith(a, left=None, want_v=False):
     applied to a copy of `left` (m rows; the identity gives u itself),
     and None without it.  v and w are None unless want_v.  The diagonal
     is nonnegative, satisfies the divisibility chain and has its zeros
-    trailing.
+    trailing.  The eliminations run on lists of Python int rows, which
+    the small matrices met here reduce faster than object-array slices.
     """
     m, n = a.shape
-    s = a.copy()
-    u = None if left is None else np.array(left, dtype=object)
-    v = _eye(n) if want_v else None
-    w = _eye(n) if want_v else None
+    s = a.tolist()
+    u = None if left is None else np.asarray(left, dtype=object).tolist()
+    v = _eye(n).tolist() if want_v else None
+    w = _eye(n).tolist() if want_v else None
     limit = min(m, n)
     k = 0
     while k < limit:
-        if _find_pivot(s, k) is None:
+        # re-select the smallest pivot every pass; this is what keeps
+        # intermediate entries from exploding
+        where = _find_pivot(s, k)
+        if where is None:
             break
         while True:
-            # re-select the smallest pivot every pass; this is what keeps
-            # intermediate entries from exploding
-            i, j = _find_pivot(s, k)
+            i, j = where
             if i != k:
-                s[[k, i], :] = s[[i, k], :]
+                s[k], s[i] = s[i], s[k]
                 if u is not None:
-                    u[[k, i], :] = u[[i, k], :]
+                    u[k], u[i] = u[i], u[k]
             if j != k:
-                s[:, [k, j]] = s[:, [j, k]]
+                for row in s + (v or []):
+                    row[k], row[j] = row[j], row[k]
                 if v is not None:
-                    v[:, [k, j]] = v[:, [j, k]]
-                    w[[k, j], :] = w[[j, k], :]
+                    w[k], w[j] = w[j], w[k]
+            top = s[k]
+            p = top[k]
             clear = True
-            for r in np.flatnonzero(s[k + 1:, k]) + (k + 1):
-                q = s[r, k] // s[k, k]
+            for r in range(k + 1, m):
+                q = s[r][k] // p
                 if q:
-                    s[r, k:] -= q * s[k, k:]
+                    s[r][k:] = [x - q * y for x, y in zip(s[r][k:], top[k:])]
                     if u is not None:
-                        u[r, :] -= q * u[k, :]
-                if s[r, k]:
+                        u[r] = [x - q * y for x, y in zip(u[r], u[k])]
+                if s[r][k]:
                     clear = False
-            for c in np.flatnonzero(s[k, k + 1:]) + (k + 1):
-                q = s[k, c] // s[k, k]
+            for c in range(k + 1, n):
+                q = top[c] // p
                 if q:
-                    s[:, c] -= q * s[:, k]
+                    for row in s[k:] + (v or []):
+                        row[c] -= q * row[k]
                     if v is not None:
-                        v[:, c] -= q * v[:, k]
-                        w[k, :] += q * w[c, :]
-                if s[k, c]:
+                        w[k] = [x + q * y for x, y in zip(w[k], w[c])]
+                if top[c]:
                     clear = False
             if clear:
                 break
+            where = _find_pivot(s, k)
         k += 1
     rank = k
     for i in range(rank):
-        if s[i, i] < 0:
-            s[i, i] = -s[i, i]
+        if s[i][i] < 0:
+            s[i][i] = -s[i][i]
             if v is not None:
-                v[:, i] = -v[:, i]
-                w[i, :] = -w[i, :]
+                for row in v:
+                    row[i] = -row[i]
+                w[i] = [-x for x in w[i]]
     # enforce the divisibility chain
     changed = True
     while changed:
         changed = False
         for i in range(rank - 1):
-            d0, d1 = s[i, i], s[i + 1, i + 1]
+            d0, d1 = s[i][i], s[i + 1][i + 1]
             if d1 % d0 == 0:
                 continue
             changed = True
@@ -356,18 +365,24 @@ def _smith(a, left=None, want_v=False):
             g, x, y = _xgcd(d0, d1)
             lcm = d0 // g * d1
             if v is not None:
-                v[:, i] += v[:, j]
-                v[:, j] -= (y * d1 // g) * v[:, i]
-                w[j, :] -= w[i, :]
-                w[i, :] += (y * d1 // g) * w[j, :]
+                t = y * d1 // g
+                for row in v:
+                    row[i] += row[j]
+                    row[j] -= t * row[i]
+                w[j] = [a - b for a, b in zip(w[j], w[i])]
+                w[i] = [a + t * b for a, b in zip(w[i], w[j])]
             if u is not None:
-                ui = u[i, :].copy()
-                uj = u[j, :].copy()
-                u[i, :] = x * ui + y * uj
-                u[j, :] = (-(d1 // g)) * ui + (d0 // g) * uj
-            s[i, i] = g
-            s[j, j] = lcm
-    return s, u, v, w
+                u[i], u[j] = ([x * a + y * b for a, b in zip(u[i], u[j])],
+                              [d0 // g * b - d1 // g * a for a, b in zip(u[i], u[j])])
+            s[i][i] = g
+            s[j][j] = lcm
+    return (_rows_array(s, n), None if u is None else _rows_array(u, np.shape(left)[1]),
+            None if v is None else _rows_array(v, n), None if w is None else _rows_array(w, n))
+
+
+def _rows_array(rows, cols):
+    """An object array of `rows` (lists of Python ints), `cols` wide."""
+    return np.array(rows, dtype=object).reshape(len(rows), cols)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -514,7 +529,7 @@ def _solve(a, b):
 
 def solve_integer(m: IntMatrix, b):
     """One integer solution x of m @ x == b, or None when there is none."""
-    vec = [int(x) for x in b]
+    vec = [index(x) for x in b]
     if len(vec) != m.rows:
         raise ValueError(f"right-hand side of length {len(vec)} against {m.shape}")
     _, y = _solve(m.array, np.array(vec, dtype=object).reshape(-1, 1))

@@ -15,7 +15,7 @@ import pytest
 from torika.cohomology import GLattice
 from torika.datum import load_datum
 from torika.errors import DatumError, FanValidationError, NotInFanError
-from torika.fans import (Cone, ConeForm, GFan, _action_problems,
+from torika.fans import (Cone, ConeForm, GFan, Ray, _action_problems,
                          _extreme_directions, _layout_problems,
                          _meet_in_common_face, _separated,
                          cone_contains_point, is_smooth, is_smooth_cone,
@@ -655,3 +655,18 @@ def test_cone_membership_matches_rational_oracle():
             else:
                 seen["face" if 0 in want else "in"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("bad", [1.7, 0.9, 2.0, "1", Fraction(1)])
+def test_rays_and_cones_refuse_inexact_entries(bad):
+    with pytest.raises(TypeError):
+        Ray((bad, 0))
+    with pytest.raises(TypeError):
+        Cone((bad, 2))
+
+
+def test_rays_and_cones_keep_bool_and_numpy_integers_as_python_ints():
+    ray = Ray((np.int64(2), True, np.int8(-1)))
+    assert ray == Ray((2, 1, -1)) and all(type(x) is int for x in ray.generator)
+    cone = Cone((np.int64(2), True, 1))
+    assert cone.rays == (1, 2) and all(type(i) is int for i in cone.rays)
