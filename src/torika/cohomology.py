@@ -92,6 +92,13 @@ class GLattice:
             wrong = np.argwhere((products != acts[table]).any(axis=(2, 3)))
             raise ValueError("action is not a homomorphism at ({}, {})".format(*wrong[0]))
 
+    @classmethod
+    def _adopt(cls, group, rank, action):
+        """Wrap matrices built from checked lattices: they inherit the proof."""
+        lattice = object.__new__(cls)
+        lattice.__dict__.update(group=group, rank=rank, action=tuple(action))
+        return lattice
+
     def act(self, g) -> IntMatrix:
         return self.action[g]
 
@@ -103,17 +110,19 @@ class GLattice:
         """The dual lattice Hom(L, Z) with the contragredient action.
 
         g acts by the inverse transpose of its matrix, and the inverse of
-        the matrix of g is the matrix of g^-1.
+        the matrix of g is the matrix of g^-1.  It is an action because
+        this one is, so it is not checked again.
         """
-        return GLattice(self.group, self.rank, tuple(
+        return GLattice._adopt(self.group, self.rank, (
             self.action[self.group.inv(g)].transpose()
             for g in self.group.elements()))
 
     def direct_sum(self, other: "GLattice") -> "GLattice":
+        """Block-diagonal action: an action because both summands are."""
         if self.group != other.group:
             raise IncompatibleModulesError("direct sum needs a common group")
         zero = np.zeros((self.rank, other.rank), dtype=object)
-        return GLattice(self.group, self.rank + other.rank, tuple(
+        return GLattice._adopt(self.group, self.rank + other.rank, (
             IntMatrix.from_array(np.block([[a.array, zero], [zero.T, b.array]]))
             for a, b in zip(self.action, other.action)))
 

@@ -160,12 +160,12 @@ def build_action(group, rank, spec) -> GLattice:
                  f"({group.order} expected)")
         matrices = tuple(_parse_matrix(m, rank, f"field 'action' element {g}")
                          for g, m in enumerate(spec))
-        for g, m in enumerate(matrices):
-            _require(_is_unimodular(m),
-                     f"field 'action': action of element {g} is not unimodular")
     try:
         return GLattice(group, rank, matrices)
     except ValueError as exc:
+        # determinants only name the first element that is not unimodular
+        bad = next((g for g, m in enumerate(matrices) if not _is_unimodular(m)), None)
+        _require(bad is None, f"field 'action': action of element {bad} is not unimodular")
         raise DatumError(f"field 'action': {exc}") from None
 
 
@@ -243,11 +243,8 @@ def load_datum(path, *, normalize_rays=False, require_valid=True,
 def _serialize_group(fan_group, group_spec=None):
     if isinstance(group_spec, str) and group_spec in GROUP_PRESETS:
         return group_spec
-    for name, maker in GROUP_PRESETS.items():
-        if maker().table == fan_group.table:
-            return name
-    return {"order": fan_group.order,
-            "table": [list(row) for row in fan_group.table]}
+    return next((name for name in GROUP_PRESETS if group_preset(name).table == fan_group.table),
+                {"order": fan_group.order, "table": [list(row) for row in fan_group.table]})
 
 
 def serialize_datum(datum: ToricDatum) -> dict:

@@ -3,8 +3,10 @@
 A fan is stored combinatorially: primitive ray generators plus the list
 of cones as sets of ray indices.  All geometry is decided exactly from
 one Smith form per cone and integer kernels, never with floating point.
-Validation returns a report listing every violated condition instead of
-stopping at the first one, so malformed input can be diagnosed in full.
+The group acts through its generators: their matrices give every ray
+permutation, their cone images prove the action, and a clean action lets
+validation test one pair of maximal cones per orbit.  Validation reports
+every violated condition at once, so malformed input is diagnosed in full.
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ class Cone:
 
 def _as_cone(c):
     return c if isinstance(c, Cone) else Cone(tuple(c))
-
-
-def _as_ray(r):
-    return r if isinstance(r, Ray) else Ray(tuple(r))
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,8 @@ class GFan:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(_as_ray(r) for r in self.rays))
+        object.__setattr__(self, "rays", tuple(
+            r if isinstance(r, Ray) else Ray(r) for r in self.rays))
         object.__setattr__(self, "cones", tuple(_as_cone(c) for c in self.cones))
 
     @classmethod
@@ -191,16 +190,23 @@ class GFan:
 
     @_cached
     def ray_permutations(self):
-        """For each group element, the image of every ray index under it.
-
-        An image is None where the element sends a ray outside the ray
-        set; validate_fan reports those, so on a valid fan every entry
-        is a permutation.
-        """
+        """For each group element, the image of every ray index under it,
+        composed from the generators' images along the tree edges of their
+        Cayley walk.  If a generator sends a ray off the ray set, every
+        element is applied, and an image is None where it leaves the set."""
         lookup = {r.generator: i for i, r in enumerate(self.rays)}
-        return tuple(
-            tuple(lookup.get(self.action.act(g).apply(r.generator)) for r in self.rays)
-            for g in self.group.elements())
+
+        def images(g):
+            return tuple(lookup.get(self.action.act(g).apply(r.generator)) for r in self.rays)
+        gens, elements = self.group.generating_set, self.group.elements()
+        steps = [images(s) for s in gens]
+        if any(None in step for step in steps):
+            return tuple(map(images, elements))
+        perms = {self.group.identity: tuple(lookup[r.generator] for r in self.rays)}
+        for g, j, h, tree in self.group.cayley_walk(gens):
+            if tree:
+                perms[h] = tuple(perms[g][i] for i in steps[j])
+        return tuple(perms[g] for g in elements)
 
     @_cached
     def ray_orbits(self):
@@ -346,13 +352,38 @@ def validate_fan(fan: GFan) -> ValidationReport:
             # so when all maximal cones meet in common faces, so do all faces.
             good = [c for c in fan.maximal_cones()
                     if c.rays and c.rays not in dependent]
+            action = _action_problems(fan)
             problems += [
                 f"cones {a.rays} and {b.rays} do not intersect in their common face"
-                for a, b in combinations(good, 2)
-                if not _meet_in_common_face(fan, a, b)]
-            problems += _action_problems(fan)
+                for a, b in _bad_pairs(fan, good, clean=not action)]
+            problems += action
         fan._cache["report"] = ValidationReport(tuple(problems))
     return fan._cache["report"]
+
+
+def _bad_pairs(fan: GFan, good, clean):
+    """The pairs of good cones that do not meet in their common face, in
+    combinations(good, 2) order.  With a clean action each g is a lattice
+    automorphism of the fan, so (a, b) and (ga, gb) share a verdict: one
+    pair per orbit is tested, its orbit closed under the generators.
+    Otherwise, or when every good cone is a ray, each orbit is one pair."""
+    gens = fan.group.generating_set if clean and any(len(c) > 1 for c in good) else ()
+    where = {c.rays: k for k, c in enumerate(good)}
+    perms = fan.ray_permutations()
+    moves = [[where[tuple(sorted(perms[s][i] for i in c.rays))] for c in good]
+             for s in gens]
+    verdict = {}
+    for a, b in combinations(range(len(good)), 2):
+        if (a, b) not in verdict:
+            orbit, verdict[a, b] = [(a, b)], _meet_in_common_face(fan, good[a], good[b])
+            for x, y in orbit:
+                for move in moves:
+                    image = (move[x], move[y]) if move[x] < move[y] else (move[y], move[x])
+                    if image not in verdict:
+                        verdict[image] = verdict[a, b]
+                        orbit.append(image)
+        if not verdict[a, b]:
+            yield good[a], good[b]
 
 
 def _valid_subfan(fan: GFan, cones) -> GFan:
@@ -411,22 +442,22 @@ def _layout_problems(fan: GFan):
 
 
 def _action_problems(fan: GFan):
-    """Rays the group sends off the ray set, else cones sent off the fan."""
+    """Rays the group sends off the ray set, else cones sent off the fan:
+    the elements keeping the cone set form a subgroup, so every element
+    is scanned only when a generator fails."""
     perms = fan.ray_permutations()
     problems = [
         f"element {g} sends ray {i} to "
         f"{fan.action.act(g).apply(fan.rays[i].generator)}, which is not a ray"
         for g, perm in enumerate(perms) for i, j in enumerate(perm) if j is None]
-    if problems:
-        return problems
-    for g, perm in enumerate(perms):
-        for c in fan.cones:
-            image = tuple(sorted(perm[i] for i in c.rays))
-            if image not in fan.cone_set():
-                problems.append(
-                    f"element {g} sends cone {c.rays} to {image}, which is not a cone"
-                )
-    return problems
+
+    def cone_problems(elements):
+        return [f"element {g} sends cone {c.rays} to {image}, which is not a cone"
+                for g in elements for c in fan.cones
+                for image in [tuple(sorted(perms[g][i] for i in c.rays))]
+                if image not in fan.cone_set()]
+    return problems or (cone_problems(fan.group.generating_set)
+                        and cone_problems(fan.group.elements()))
 
 
 def _checked_cone(fan: GFan, cone) -> Cone:
@@ -490,7 +521,7 @@ def support_lattice_points(fan: GFan, bound: int):
 
 def primitive_vector(vec):
     """Divide an integer vector by the gcd of its entries."""
-    vec = tuple(int(x) for x in vec)
+    vec = tuple(map(index, vec))
     g = _content(vec)
     if g <= 1:
         return vec

@@ -19,7 +19,9 @@ element that fails such a law is a generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations, product
+from operator import index as _index
 
 import numpy as np
 
@@ -43,7 +45,7 @@ class FiniteGroup:
 
     def __post_init__(self):
         n = self.order
-        table = tuple(tuple(int(x) for x in row) for row in self.table)
+        table = tuple(tuple(map(_index, row)) for row in self.table)
         object.__setattr__(self, "table", table)
         if n < 1:
             raise MalformedGroupError("a group needs at least one element")
@@ -98,7 +100,7 @@ class FiniteGroup:
                      if self.element_order(a) == self.order), None)
 
     def subgroup(self, elements) -> "Subgroup":
-        return Subgroup(self, tuple(sorted(set(int(x) for x in elements))))
+        return Subgroup(self, tuple(elements))
 
     def trivial_subgroup(self) -> "Subgroup":
         return self.subgroup([self.identity])
@@ -168,12 +170,11 @@ class Subgroup:
     generating_set: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        elems = tuple(sorted(set(int(x) for x in self.elements)))
+        elems = tuple(sorted(set(map(_index, self.elements))))
         object.__setattr__(self, "elements", elems)
-        n = self.parent.order
-        for x in elems:
-            if not 0 <= x < n:
-                raise MalformedSubgroupError(f"element {x} out of range")
+        wrong = [x for x in elems if not 0 <= x < self.parent.order]
+        if wrong:
+            raise MalformedSubgroupError(f"element {wrong[0]} out of range")
         if self.parent.identity not in elems:
             raise MalformedSubgroupError("subgroup must contain the identity")
         gens = _greedy_generators(self.parent.table, self.parent.identity, elems)
@@ -251,7 +252,9 @@ GROUP_PRESETS = {
 }
 
 
+@cache
 def group_preset(name: str) -> FiniteGroup:
+    """The preset group of that name, built and checked once, then reused."""
     try:
         maker = GROUP_PRESETS[name]
     except KeyError:

@@ -9,7 +9,7 @@ group.  D4, Q8, A4 and C2xC4 come as explicit tables that are no preset.
 
 import importlib.util
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 from torika.cohomology import GLattice, GLatticeMap
@@ -69,6 +69,63 @@ EXPLICIT_GROUPS = [
     _table_group("C2xC4", [(a, b) for a in range(2) for b in range(4)],
                  lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 4)),
 ]
+
+
+def _signed_compose(w, v):
+    """Signed permutations as images of e_1..e_n: w[i] = +-(j + 1) sends
+    e_i to +-e_j, and (w v)(e_i) = w(v(e_i))."""
+    return tuple(w[abs(x) - 1] * (1 if x > 0 else -1) for x in v)
+
+
+def coxeter_b3_fan() -> GFan:
+    """The W(B3) Coxeter fan: the chambers of x_i = 0, x_i = +-x_j.
+
+    Its 26 rays are the nonzero vectors of {-1, 0, 1}^3, and its 48
+    chambers are the images of x_1 >= x_2 >= x_3 >= 0, spanned by
+    (1,0,0), (1,1,0), (1,1,1), under the signed permutations, which act
+    by their matrices; the group is given by its explicit table.
+    """
+    elements = [tuple(s * (p + 1) for s, p in zip(signs, perm))
+                for perm in permutations(range(3)) for signs in product((1, -1), repeat=3)]
+    group = _table_group("W(B3)", elements, _signed_compose)
+
+    def act(w, x):
+        y = [0, 0, 0]
+        for i, image in enumerate(w):
+            y[abs(image) - 1] += x[i] if image > 0 else -x[i]
+        return tuple(y)
+
+    rays = [v for v in product((-1, 0, 1), repeat=3) if any(v)]
+    chamber = [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
+    cones = [[rays.index(act(w, r)) for r in chamber] for w in elements]
+    action = GLattice(group, 3, tuple(
+        IntMatrix.from_columns([act(w, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+        for w in elements))
+    return GFan.from_max_cones(3, rays, cones, action=action)
+
+
+def permutohedral_a3_fan() -> GFan:
+    """The A3 permutohedral fan in Z^4 / Z(1,1,1,1), with basis e_1, e_2, e_3.
+
+    Its 14 rays are the classes of e_S for the nonempty proper subsets S
+    of {1, 2, 3, 4}, and its 24 chambers are the flags
+    {p(1)} < {p(1), p(2)} < {p(1), p(2), p(3)} for p in S4, which
+    permutes the coordinates; the group is given by its explicit table.
+    """
+    elements = list(permutations(range(4)))
+    group = _table_group("S4", elements, _compose)
+    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+
+    def e(subset):
+        return tuple(sum(basis[i][k] for i in subset) for k in range(3))
+
+    subsets = [s for size in (1, 2, 3) for s in combinations(range(4), size)]
+    rays = [e(s) for s in subsets]
+    cones = [[subsets.index(tuple(sorted(p[:size]))) for size in (1, 2, 3)]
+             for p in elements]
+    action = GLattice(group, 3, tuple(
+        IntMatrix.from_columns([basis[p[i]] for i in range(3)]) for p in elements))
+    return GFan.from_max_cones(3, rays, cones, action=action)
 
 
 def fixture_path(name: str) -> str:

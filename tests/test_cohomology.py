@@ -65,6 +65,24 @@ def test_dual_and_direct_sum():
     assert both.act(1) == IntMatrix([[-1, 0], [0, 1]])
 
 
+def test_dual_and_direct_sum_inherit_the_proof(monkeypatch):
+    rng = random.Random(2626)
+    lattices = [random_lattice(rng, group, 3) for group in DIFFERENTIAL_GROUPS + EXPLICIT_GROUPS]
+
+    def unchecked(self):
+        raise AssertionError("the action was checked again")
+    with monkeypatch.context() as patch:
+        patch.setattr(GLattice, "__post_init__", unchecked)
+        built = [(lattice, lattice.dual(), lattice.direct_sum(lattice.dual()))
+                 for lattice in lattices]
+    for lattice, dual, both in built:
+        for result in (dual, both):  # checked now, from the same matrices
+            assert GLattice(lattice.group, result.rank, result.action) == result
+        assert dual.dual() == lattice and both.rank == 2 * lattice.rank
+    with pytest.raises(IncompatibleModulesError):
+        SIGN.direct_sum(trivial_lattice(cyclic_group(3), 1))
+
+
 def test_permutation_module_shapes():
     assert permutation_module(C2, C2.full_subgroup()).rank == 1
     swap = permutation_module(C2, C2.trivial_subgroup())

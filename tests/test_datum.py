@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from torika.datum import (datum_from_fan, dump_datum, load_datum,
+from torika.cohomology import permutation_module
+from torika.datum import (build_action, datum_from_fan, dump_datum, load_datum,
                           serialize_datum)
 from torika.errors import DatumError
 from torika.fans import validate_fan
-from torika.linalg import IntMatrix
+from torika.groups import group_preset
+from torika.linalg import IntMatrix, _is_unimodular
 
 from conftest import FIXTURE_NAMES, fixture_path, load_fixture
 
@@ -149,6 +151,28 @@ def test_malformed_fixture(name, fragment):
     message = str(err.value)
     assert fragment in message
     assert name in message  # errors are located with the file path
+
+
+def test_full_action_lists_take_determinants_only_to_name_a_failure(monkeypatch):
+    from torika import datum as datum_module
+
+    calls = []
+    monkeypatch.setattr(datum_module, "_is_unimodular",
+                        lambda m: calls.append(m) or _is_unimodular(m))
+    s3 = group_preset("S3")
+    lattice = permutation_module(s3, s3.trivial_subgroup())
+    spec = [m.to_rows() for m in lattice.action]
+    assert build_action(s3, 6, spec) == lattice and not calls
+    swapped = spec[:1] + spec[2:3] + spec[1:2] + spec[3:]
+    with pytest.raises(DatumError, match="field 'action': action is not a homomorphism"):
+        build_action(s3, 6, swapped)
+    assert len(calls) == 6
+    singular = spec[:4] + [[[2 * x for x in row] for row in spec[4]]] + spec[5:]
+    with pytest.raises(DatumError, match="action of element 4 is not unimodular"):
+        build_action(s3, 6, singular)
+    calls.clear()  # generator matrices are still checked, one each
+    gens = {"1": spec[1], "2": spec[2], "4": spec[4]}
+    assert build_action(s3, 6, {"generators": gens}) == lattice and len(calls) == 3
 
 
 def test_normalize_rays():

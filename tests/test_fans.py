@@ -21,12 +21,15 @@ from torika.fans import (Cone, ConeForm, GFan, Ray, _action_problems,
                          cone_contains_point, is_smooth, is_smooth_cone,
                          orbit_count, orbit_dimension, primitive_vector,
                          ray_orbits, support_lattice_points, validate_fan)
-from torika.groups import cyclic_group, symmetric_group_3
+from torika.groups import cyclic_group, klein_four_group, symmetric_group_3
 from torika.linalg import IntMatrix, _kernel_array, _rank, _smith
 from torika.structure import is_pure_divisorial, pure_divisorial_truncation
 
-from conftest import (FIXTURE_DIR, bench_data, load_fixture, rand_unimodular,
+from conftest import (EXPLICIT_GROUPS, FIXTURE_DIR, bench_data, coxeter_b3_fan,
+                      load_fixture, permutohedral_a3_fan, rand_unimodular,
                       random_smooth_fan)
+from test_cohomology import (DIFFERENTIAL_GROUPS, _orbit_fan, _product_fan,
+                             random_lattice)
 
 P2 = GFan.from_max_cones(2, [(1, 0), (0, 1), (-1, -1)],
                          [(0, 1), (1, 2), (0, 2)])
@@ -670,3 +673,146 @@ def test_rays_and_cones_keep_bool_and_numpy_integers_as_python_ints():
     assert ray == Ray((2, 1, -1)) and all(type(x) is int for x in ray.generator)
     cone = Cone((np.int64(2), True, 1))
     assert cone.rays == (1, 2) and all(type(i) is int for i in cone.rays)
+
+
+@pytest.mark.parametrize("bad", [1.5, "3", Fraction(3)])
+def test_primitive_vector_refuses_inexact_entries(bad):
+    with pytest.raises(TypeError):
+        primitive_vector((bad, 3))
+
+
+def test_primitive_vector_keeps_bool_and_numpy_integers_as_python_ints():
+    vec = primitive_vector((np.int64(4), True, np.int8(-2)))
+    assert vec == (4, 1, -2) and all(type(x) is int for x in vec)
+    vec = primitive_vector((np.int64(4), False, -2))
+    assert vec == (2, 0, -1) and all(type(x) is int for x in vec)
+
+
+def every_element_images(fan):
+    """Oracle for ray_permutations: every element's matrix on every ray."""
+    lookup = {r.generator: i for i, r in enumerate(fan.rays)}
+    return tuple(tuple(lookup.get(fan.action.act(g).apply(r.generator)) for r in fan.rays)
+                 for g in fan.group.elements())
+
+
+def test_ray_permutations_compose_the_generators_images():
+    rng = random.Random(1717)
+    groups = DIFFERENTIAL_GROUPS + EXPLICIT_GROUPS
+    orbit_fans = [_orbit_fan(rng, random_lattice(rng, group, 3), 2, 8) for group in groups]
+    # the same fans without their last ray: unless that ray is fixed, a generator
+    # sends a ray off the ray set
+    off = [GFan(fan.rank, fan.rays[:-1],
+                [c for c in fan.cones if len(fan.rays) - 1 not in c.rays], fan.action)
+           for fan in orbit_fans]
+    fans = data_file_fans() + orbit_fans + off + [_product_fan(rng, group) for group in groups]
+    fans += [coxeter_b3_fan(), permutohedral_a3_fan()]
+    for fan in fans:
+        fresh = GFan(fan.rank, fan.rays, fan.cones, fan.action)
+        assert fresh.ray_permutations() == every_element_images(fan), fan
+    missing = [fan for fan in off if any(None in perm for perm in fan.ray_permutations())]
+    assert len(missing) >= len(off) // 2 and sum(fan.group.order > 1 for fan in fans) >= 40
+
+
+def every_element_action_problems(fan):
+    """Oracle for _action_problems: every element is scanned."""
+    perms = every_element_images(fan)
+    problems = [
+        f"element {g} sends ray {i} to "
+        f"{fan.action.act(g).apply(fan.rays[i].generator)}, which is not a ray"
+        for g, perm in enumerate(perms) for i, j in enumerate(perm) if j is None]
+    if problems:
+        return problems
+    return [f"element {g} sends cone {c.rays} to {image}, which is not a cone"
+            for g, perm in enumerate(perms) for c in fan.cones
+            for image in [tuple(sorted(perm[i] for i in c.rays))]
+            if image not in fan.cone_set()]
+
+
+def with_cone_orbit(rng, fan):
+    """The fan with the G-orbit of a new cone added: a ray through a random
+    maximal cone with up to rank - 1 other rays.  The action stays clean,
+    and the new cones mostly overlap the old ones."""
+    inside = rng.choice(fan.maximal_cones()).rays
+    ray = primitive_vector([sum(x) for x in zip(*(fan.rays[i].generator for i in inside))])
+    rays = fan.ray_vectors()
+    rays += sorted({fan.action.act(g).apply(ray) for g in fan.group.elements()} - set(rays))
+    others = rng.sample(range(len(fan.rays)), rng.randint(0, fan.rank - 1))
+    orbit = {tuple(sorted([rays.index(fan.action.act(g).apply(ray))]
+                          + [perm[i] for i in others]))
+             for g, perm in enumerate(fan.ray_permutations())}
+    cones = [c.rays for c in fan.maximal_cones()] + sorted(orbit)
+    return GFan.from_max_cones(fan.rank, rays, cones, fan.action)
+
+
+def g_fan_cases():
+    """Valid G-fans with nontrivial actions, then broken ones whose action is clean."""
+    rng = random.Random(1616)
+    groups = [symmetric_group_3(), klein_four_group()]
+    valid = [_product_fan(rng, group) for group in groups for _ in range(2)]
+    valid += [_orbit_fan(rng, random_lattice(rng, group, 3), 2, 8) for group in groups]
+    broken = [with_cone_orbit(rng, fan) for fan in valid if fan.rank <= 3 for _ in range(5)]
+    cox = [permutohedral_a3_fan(), coxeter_b3_fan()]
+    return valid + cox, broken + [with_cone_orbit(rng, cox[0])]
+
+
+def test_action_problems_match_every_element_scan():
+    valid, broken = g_fan_cases()
+    fans = data_file_fans() + valid + broken
+    # a generator's cone image is missing: drop the first or last maximal cone
+    for fan in valid + broken:
+        cones = [c.rays for c in fan.maximal_cones()]
+        fans += [GFan.from_max_cones(fan.rank, fan.ray_vectors(), kept, fan.action)
+                 for kept in (cones[1:], cones[:-1])]
+    flagged = 0
+    for fan in [fan for fan in fans if not _layout_problems(fan)]:  # as validate_fan
+        want = every_element_action_problems(fan)
+        assert _action_problems(GFan(fan.rank, fan.rays, fan.cones, fan.action)) == want
+        flagged += bool(want)
+    assert flagged >= 15
+
+
+def test_orbit_pairs_match_all_pairs_oracle_on_g_fans(monkeypatch):
+    """One pair per orbit is tested, and bad verdicts reach the whole orbit."""
+    from torika import fans as fans_module
+
+    valid, broken = g_fan_cases()
+    verdicts = []
+    monkeypatch.setattr(fans_module, "_meet_in_common_face",
+                        lambda *pair: verdicts.append(_meet_in_common_face(*pair))
+                        or verdicts[-1])
+    expanded = tested = pairs = 0
+    for fan in valid + broken:
+        assert not _action_problems(fan)
+        verdicts.clear()
+        report = validate_fan(fan)
+        tested += len(verdicts)
+        pairs += len(independent_maximal_pairs(fan))
+        oracle = all_pairs_problems(fan)
+        if fan in valid:
+            assert report.problems == oracle == (), fan
+            continue
+        assert report.ok == (not oracle) and set(report.problems) <= set(oracle)
+        bad = [p for p in report.problems if "do not intersect" in p]
+        assert bad == [
+            f"cones {a.rays} and {b.rays} do not intersect in their common face"
+            for a, b in independent_maximal_pairs(fan) if not full_system_meet(fan, a, b)]
+        assert ([p for p in report.problems if p not in bad]
+                == [p for p in oracle if "do not intersect" not in p])
+        expanded += len(bad) - verdicts.count(False)
+    assert sum(not validate_fan(fan).ok for fan in broken) >= 8
+    assert expanded >= 100 and 5 * tested < pairs
+
+
+@pytest.mark.parametrize("build, rays, chambers, orbits", [
+    (coxeter_b3_fan, 26, 48, 33), (permutohedral_a3_fan, 14, 24, 16)])
+def test_coxeter_fans_test_one_pair_per_orbit(monkeypatch, build, rays, chambers, orbits):
+    from torika import fans as fans_module
+
+    fan = build()
+    assert (len(fan.rays), len(fan.maximal_cones()), fan.group.order) == (
+        rays, chambers, chambers)
+    calls = []
+    monkeypatch.setattr(fans_module, "_meet_in_common_face",
+                        lambda *pair: calls.append(pair) or _meet_in_common_face(*pair))
+    assert validate_fan(fan).ok and is_smooth(fan)
+    assert len(calls) <= orbits

@@ -2,8 +2,10 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from torika.errors import MalformedGroupError, MalformedSubgroupError
@@ -24,6 +26,34 @@ def test_presets():
         g = group_preset(name)
         assert g.order == order
         assert g.name == name
+
+
+def test_presets_are_built_once():
+    makers = dict(GROUP_PRESETS)
+    for name in sorted(GROUP_PRESETS):
+        assert group_preset(name) is group_preset(name)
+        assert group_preset(name) == GROUP_PRESETS[name]()
+    assert GROUP_PRESETS == makers
+
+
+def test_tables_and_subgroups_refuse_inexact_entries():
+    with pytest.raises(TypeError):
+        FiniteGroup(2, ((0.0, 1.9), (1, '0')))
+    c4 = cyclic_group(4)
+    for bad in (2.0, "2", Fraction(2)):
+        with pytest.raises(TypeError):
+            Subgroup(c4, (0, bad))
+        with pytest.raises(TypeError):
+            c4.subgroup([0, bad])
+
+
+def test_tables_and_subgroups_keep_bool_and_numpy_integers_as_python_ints():
+    group = FiniteGroup(2, ((np.int64(0), True), (np.int8(1), False)))
+    assert group.table == ((0, 1), (1, 0))
+    assert all(type(x) is int for row in group.table for x in row)
+    c4 = cyclic_group(4)
+    for sub in (Subgroup(c4, (np.int64(2), False)), c4.subgroup([np.int8(2), False])):
+        assert sub.elements == (0, 2) and all(type(x) is int for x in sub.elements)
 
 
 def test_unknown_preset():
