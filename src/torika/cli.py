@@ -290,6 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "bound", 0) < 0:  # refused before any file is read
+            raise ValueError("bound must be nonnegative")
         return _COMMANDS[args.command](args)
     except (TorikaError, ValueError) as exc:
         print(f"torika: {exc}", file=sys.stderr)

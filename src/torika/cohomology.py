@@ -18,6 +18,8 @@ Z^1 + n L^S: in the coordinates w f both are diagonal conditions.
 Every result retains a basis of its cocycle lattice together with the
 boundary generators written in that basis, and a degree-2 result keeps
 w, so maps induced on H^2 read target coordinates by one product.
+A kernel on H^2 is a set of congruences mod n on the source's cocycle
+coordinates, read off one more Smith form (`_congruence_quotient`).
 The bar resolution survives only as `coboundary_matrix`, an independent
 route for checks.  `GLattice` checks an action on the same graph's
 |G||S| edges, which implies the group law and unimodularity.
@@ -40,7 +42,6 @@ from .linalg import (
     _coords_in_basis,
     _eye,
     _kernel_array,
-    _lattice_basis,
     _matmul,
     _nonredundant_rows,
     _smith,
@@ -308,15 +309,28 @@ def _shifted_basis(d1, n):
     # d^1 repeats rows; they change the Smith transforms, not the groups
     s, _, v, w = _smith(_nonredundant_rows(d1), want_v=True)
     diag = [s[i, i] if i < s.shape[0] else 0 for i in range(s.shape[1])]
-    lifts = tuple(n // gcd(n, d) if d else 1 for d in diag)
+    lifts = np.array([n // gcd(n, d) if d else 1 for d in diag], dtype=object)
     orders = tuple(gcd(n, d) if d else 1 for d in diag)
     return v, w, len(diag) - diag.count(0), lifts, orders
+
+
+def _congruence_quotient(images, n, boundaries) -> FinAbGroup:
+    """The x with images @ x = 0 mod n, modulo the columns of `boundaries`.
+
+    In the coordinates z = w @ x of `_shifted_basis(images, n)`, x is a
+    solution exactly when lifts[i] | z[i]: the solutions are v diag(lifts) Z^k,
+    where a boundary b, which must be one, has coordinates (w @ b) / lifts.
+    """
+    _, w, _, lifts, _ = _shifted_basis(images, n)
+    y = _matmul(w, boundaries)
+    if np.count_nonzero(y % lifts[:, None]):
+        raise ValueError("a boundary is not a solution of the congruences")
+    return _cokernel_array(y // lifts[:, None])
 
 
 def _h2_result(lattice, d1) -> CohomologyResult:
     """H^2 of the lattice from the d^1 of its presentation."""
     v, w, _, lifts, orders = _shifted_basis(d1, lattice.group.order)
-    lifts = np.array(lifts, dtype=object)
     w.flags.writeable = False
     return CohomologyResult(
         degree=2,
@@ -438,14 +452,6 @@ def induced_h2_map(fmap: GLatticeMap,
                                 matrix=IntMatrix.from_array(y // lifts))
 
 
-def _preimage_quotient(images, relations, boundaries) -> FinAbGroup:
-    """The x with images @ x in the span of `relations`, modulo `boundaries`."""
-    k = images.shape[1]
-    ker = _kernel_array(np.concatenate([images, relations], axis=1))
-    basis = _lattice_basis(ker[:k, :])
-    return _cokernel_array(_coords_in_basis(basis, boundaries))
-
-
 def kernel_of_h2_map(fmap: GLatticeMap,
                      source_result: CohomologyResult | None = None) -> FinAbGroup:
     """Kernel of the induced H^2 map, by a membership test on 1-cochains.
@@ -453,18 +459,16 @@ def kernel_of_h2_map(fmap: GLatticeMap,
     A source class z is in the kernel exactly when f(z) lies in the
     target's Z^1 + n L^S: in the target's Smith coordinates y = w @ f(z)
     (`_shifted_basis`, kept by `_h2_of(target)`), y[i] = 0 mod n
-    wherever orders[i] > 1.  `brauer_kernel` needs no target cohomology
-    at all (`_shapiro_kernel`).
+    wherever orders[i] > 1 (`_congruence_quotient`).  `brauer_kernel`
+    needs no target cohomology at all (`_shapiro_kernel`).
     """
     r1 = _h2_of(fmap.source, source_result)
     r2 = _h2_of(fmap.target, None)
-    order = fmap.source.group.order
     tested = [i for i, d in enumerate(r2.boundaries.array.diagonal()) if d > 1]
     fz = _apply_blockwise(fmap, r1.cocycles.array,
                           len(fmap.source.group.generating_set))
-    return _preimage_quotient(_matmul(r2._coords[0][tested, :], fz),
-                              order * _eye(len(tested)),
-                              r1.boundaries.array)
+    return _congruence_quotient(_matmul(r2._coords[0][tested, :], fz),
+                                fmap.source.group.order, r1.boundaries.array)
 
 
 def kernel_of_h2_map_via_presentations(
@@ -474,14 +478,17 @@ def kernel_of_h2_map_via_presentations(
 
     Take the matrix between the two retained presentations and quotient
     its preimage of the target boundary span by the source boundary span.
-    It shares the target's Smith form with `kernel_of_h2_map`, so it
-    checks the membership test, not the dimension shift itself.
+    The target's boundaries are diag(o_i) with o_i | n = |G|, so row i
+    scaled by n / o_i is a congruence mod n (`_congruence_quotient`).  It
+    shares the target's Smith form with `kernel_of_h2_map`, so it checks
+    the membership test, not the dimension shift itself.
     """
     if induced is None:
         induced = induced_h2_map(fmap)
-    return _preimage_quotient(induced.matrix.array,
-                              induced.target.boundaries.array,
-                              induced.source.boundaries.array)
+    n = induced.source.coefficients.group.order
+    orders = induced.target.boundaries.array.diagonal()[:, None]
+    return _congruence_quotient(n // orders * induced.matrix.array, n,
+                                induced.source.boundaries.array)
 
 
 def _shapiro_kernel(lattice: GLattice, rows, orbits) -> FinAbGroup:
@@ -496,15 +503,14 @@ def _shapiro_kernel(lattice: GLattice, rows, orbits) -> FinAbGroup:
     Hom(H_i, Z/n) by restricting a cocycle to H_i and reading its x_i
     coordinate.  A source cocycle f is therefore in the kernel exactly
     when (row x_i of the matrix) @ E_h @ f = 0 mod n for each h in the
-    `generating_set` of each H_i: the target lattice is never built.
+    `generating_set` of each H_i (`_congruence_quotient`): the target
+    lattice is never built.
     """
     _check_limits(lattice.group, lattice.rank, raisable=False)
-    group = lattice.group
     _, paths, d1 = _cayley_complex(lattice)
     r1 = _h2_result(lattice, d1)
     tests = _stack([_matmul(rows[orbit[:1], :], paths[h])
                     for orbit, stab in orbits
                     for h in stab.generating_set], d1.shape[1])
-    return _preimage_quotient(_matmul(tests, r1.cocycles.array),
-                              group.order * _eye(tests.shape[0]),
-                              r1.boundaries.array)
+    return _congruence_quotient(_matmul(tests, r1.cocycles.array),
+                                lattice.group.order, r1.boundaries.array)

@@ -116,8 +116,10 @@ def _complete_generator_action(group, rank, gens):
         try:
             g = int(key)
         except (TypeError, ValueError):
+            g = None
+        if g is None or str(key) != str(g):  # no " 1", "+1", "01" or "1_0"
             raise DatumError(f"field 'action': generator key {key!r} "
-                             f"is not an element index") from None
+                             f"is not an element index")
         _require(0 <= g < group.order,
                  f"field 'action': generator {g} is out of range")
         matrix = _parse_matrix(mat, rank, f"field 'action' generator {g}")

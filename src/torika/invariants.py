@@ -87,6 +87,8 @@ def _stage(name, thunk):
 
 def full_report(fan: GFan, bound: int = 5) -> InvariantReport:
     """Assemble every invariant of the fan into one report."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     fan.require_valid()
     smooth = _stage("smoothness", lambda: is_smooth(fan))
     pure = is_pure_divisorial(fan)

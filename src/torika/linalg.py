@@ -4,12 +4,12 @@ All arithmetic is done with Python's arbitrary-precision integers, so
 fixed-width overflow cannot occur.  numpy arrays with dtype=object are
 the container at every boundary: the public IntMatrix wraps one such
 array, read-only, and the routines here take and return it without
-conversion.  The Smith kernel (`_smith`) converts once on entry and
-once on exit and runs its eliminations on lists of Python int rows.
-Normal-form routines pick the smallest available pivot, which keeps
-intermediate entries modest on the structured matrices produced
-elsewhere in the package.  Every exact solve goes through one Smith
-form (`_solve`).
+conversion.  Two eliminations each have one job: the Smith form
+(`_smith`, on lists of Python int rows) gives invariant factors, exact
+solves (`_solve`) and congruences, and a column reduction
+(`_kernel_array`) gives kernel bases.  Both pick the smallest available
+pivot, which keeps intermediate entries modest on the structured
+matrices produced elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -97,6 +97,8 @@ class IntMatrix:
     def from_array(cls, a):
         if not hasattr(a, "shape"):
             return cls(a)
+        if len(a.shape) != 2:
+            raise ValueError(f"from_array needs a 2-D array, got shape {a.shape}")
         return cls(a.tolist(), cols=a.shape[1])
 
     @property
@@ -415,22 +417,17 @@ def _nonredundant_rows(a):
     return a[keep, :]
 
 
-def _column_reduce(a, track=False):
-    """Unimodular column reduction of `a` (m x n), column-major layout.
+def _kernel_array(a):
+    """Basis of {x : a @ x == 0} as the columns of an (n x k) array.
 
-    Returns (ct, vt, pivot_cols, free_cols) where ct[j] holds column j of
-    the reduced matrix, vt (when tracked) holds the accumulated column
-    transform the same way, pivot_cols lists columns that received a pivot
-    in processing order and free_cols the columns that reduced to zero.
+    A unimodular column reduction, column-major (ct[j] is column j), that
+    tracks its transform vt: the columns that reduce to zero give the basis.
     """
     m, n = a.shape
-    ct = a.T.copy() if n else np.empty((0, m), dtype=object)
-    vt = _eye(n) if track else None
+    ct = a.T.copy()
+    vt = _eye(n)
     active = list(range(n))
-    pivot_cols = []
     for i in range(m):
-        if not active:
-            break
         while True:
             nz = [j for j in active if ct[j, i] != 0]
             if len(nz) <= 1:
@@ -443,45 +440,18 @@ def _column_reduce(a, track=False):
                 q = ct[j, i] // ct[p, i]
                 if q:
                     ct[j, i:] -= q * ct[p, i:]
-                    if track:
-                        vt[j, :] -= q * vt[p, :]
+                    vt[j, :] -= q * vt[p, :]
                 if ct[j, i]:
                     done = False
             if done:
                 break
         if nz:
-            j = nz[0] if len(nz) == 1 else p
-            active.remove(j)
-            pivot_cols.append(j)
-    return ct, vt, pivot_cols, active
-
-
-def _kernel_array(a):
-    """Basis of {x : a @ x == 0} as the columns of an (n x k) array."""
-    n = a.shape[1]
-    if n == 0:
-        return np.empty((0, 0), dtype=object)
-    _, vt, _, free = _column_reduce(a, track=True)
-    k = len(free)
-    out = np.empty((n, k), dtype=object)
-    for t, j in enumerate(sorted(free)):
-        out[:, t] = vt[j, :]
-    return out
-
-
-def _lattice_basis(a):
-    """Basis of the lattice spanned by the columns of `a` (m x r array)."""
-    m, _ = a.shape
-    ct, _, pivots, _ = _column_reduce(a, track=False)
-    out = np.empty((m, len(pivots)), dtype=object)
-    for t, j in enumerate(pivots):
-        out[:, t] = ct[j, :]
-    return out
+            active.remove(nz[0] if len(nz) == 1 else p)
+    return vt[sorted(active)].T.copy()
 
 
 def _rank(a):
-    _, _, pivots, _ = _column_reduce(a, track=False)
-    return len(pivots)
+    return a.shape[1] - _kernel_array(a).shape[1]
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

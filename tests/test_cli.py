@@ -136,6 +136,13 @@ def test_check_int_refuses_a_negative_bound_in_one_line(capsys):
         1, "", "torika: bound must be nonnegative\n")
 
 
+@pytest.mark.parametrize("command", ["check-int", "report"])
+def test_negative_bound_is_refused_before_any_file_is_read(capsys, tmp_path, command):
+    missing = str(tmp_path / "missing.json")
+    assert run(capsys, command, "--bound", "-1", missing) == (
+        1, "", "torika: bound must be nonnegative\n")
+
+
 def test_cohomology_from_file(capsys):
     code, out, _ = run(capsys, "cohomology", fixture_path("sign_rank1"))
     assert code == 0

@@ -5,9 +5,10 @@ oracle (H^2 = L^G / N.L for cyclic G) and, for degree one, against
 direct cocycle/coboundary enumeration done while deriving the tests.
 H^1, H^2 and the Brauer-type kernels are also checked against the
 bar route (`bar_h1`, `bar_h2`, `bar_kernel`): kernel of d^2 modulo the
-image of d^1, with maps lifted on 2-cochains.  Groups given by explicit
-tables (D4, Q8, A4, C2xC4) and relabeled copies of every group vary the
-generating set and spanning tree the presentation is read from.
+image of d^1, with maps lifted on 2-cochains and their kernels read by
+the general preimage quotient (`preimage_quotient`).  Groups given by
+explicit tables (D4, Q8, A4, C2xC4) and relabeled copies of every group
+vary the generating set and spanning tree the presentation is read from.
 """
 
 import random
@@ -21,8 +22,8 @@ import pytest
 
 from torika.cohomology import (RANK_LIMIT, GLattice, GLatticeMap,
                                _apply_blockwise, _cayley_complex,
-                               _coboundary_array,
-                               _preimage_quotient, coboundary_matrix,
+                               _coboundary_array, _congruence_quotient,
+                               coboundary_matrix,
                                cohomology, induced_h2_map, kernel_of_h2_map,
                                kernel_of_h2_map_via_presentations,
                                permutation_module, tate_cyclic_h2,
@@ -35,8 +36,9 @@ from torika.groups import (GROUP_PRESETS, FiniteGroup, cyclic_group,
                            trivial_group)
 from torika.invariants import brauer_kernel, full_report
 from torika.linalg import (FinAbGroup, IntMatrix, _cokernel_array,
-                           _coords_in_basis, _is_unimodular, _kernel_array,
-                           _matmul, _smith, _unimodular_inverse)
+                           _coords_in_basis, _eye, _is_unimodular,
+                           _kernel_array, _matmul, _smith,
+                           _unimodular_inverse)
 from torika.structure import (divisor_map, pure_divisorial_truncation,
                               standard_fan)
 
@@ -295,11 +297,71 @@ def bar_shift_h2(lattice):
     return FinAbGroup(0, tuple(d for d in diag if d > 1))
 
 
+def column_span_basis(a):
+    """A basis of the lattice spanned by the columns of `a`.
+
+    With s = u @ a @ v in Smith form, the columns of a @ v = u^-1 @ s
+    span the same lattice, and those past the rank are zero.
+    """
+    s, _, v, _ = _smith(a, want_v=True)
+    rank = sum(1 for i in range(min(s.shape)) if s[i, i])
+    return _matmul(a, v[:, :rank])
+
+
+def preimage_quotient(images, relations, boundaries):
+    """The x with images @ x in the span of `relations`, modulo `boundaries`.
+
+    The general route: the first k rows of a kernel basis of
+    [images | relations] span the preimage, and the boundaries are
+    solved for in a basis of that span.
+    """
+    k = images.shape[1]
+    ker = _kernel_array(np.concatenate([images, relations], axis=1))
+    basis = column_span_basis(ker[:k, :])
+    return _cokernel_array(_coords_in_basis(basis, boundaries))
+
+
 def bar_kernel(fmap):
     """Kernel of the induced H^2 map: bar 2-cocycles whose image is a coboundary."""
     _, z, y = bar_h2(fmap.source)
     fz = _apply_blockwise(fmap, z, fmap.source.group.order ** 2)
-    return _preimage_quotient(fz, _coboundary_array(fmap.target, 1), y)
+    return preimage_quotient(fz, _coboundary_array(fmap.target, 1), y)
+
+
+def _random_array(rng, rows, cols, low, high):
+    return np.array([[rng.randint(low, high) for _ in range(cols)]
+                     for _ in range(rows)], dtype=object).reshape(rows, cols)
+
+
+def test_congruence_quotient_matches_the_preimage_oracle():
+    # boundaries: some n e_j and random combinations of solutions, which
+    # the oracle's own kernel of [images | n I] supplies
+    rng = random.Random(20261103)
+    finite = torsion = 0
+    for _ in range(120):
+        n, t, k = rng.randint(2, 12), rng.randint(0, 4), rng.randint(0, 5)
+        images = _random_array(rng, t, k, -2 * n, 2 * n)
+        relations = n * _eye(t)
+        solutions = _kernel_array(np.concatenate([images, relations], axis=1))[:k, :]
+        scaled = [n * _eye(k)[:, j:j + 1] for j in range(k) if rng.random() < 0.7]
+        mixed = _matmul(solutions, _random_array(rng, solutions.shape[1],
+                                                 rng.randint(0, 2), -3, 3))
+        boundaries = np.concatenate(scaled + [mixed], axis=1)
+        got = _congruence_quotient(images, n, boundaries)
+        assert got == preimage_quotient(images, relations, boundaries), \
+            (n, images.tolist(), boundaries.tolist())
+        finite += got.is_finite
+        torsion += bool(got.torsion)
+    assert finite >= 40 and torsion >= 40, (finite, torsion)
+
+
+def test_congruence_quotient_refuses_a_boundary_off_the_solutions():
+    # x + 2y = 0 mod 4: (2, 1) solves it, (1, 0) does not
+    images = np.array([[1, 2]], dtype=object)
+    assert _congruence_quotient(images, 4, np.array([[2], [1]], dtype=object)) == \
+        preimage_quotient(images, 4 * _eye(1), np.array([[2], [1]], dtype=object))
+    with pytest.raises(ValueError, match="not a solution of the congruences"):
+        _congruence_quotient(images, 4, np.array([[2, 1], [1, 0]], dtype=object))
 
 
 def _in_basis(rng, lattice):
@@ -572,6 +634,47 @@ def test_brauer_kernel_matches_both_routes_on_random_truncations():
             checked += 1
             nontrivial += not got.is_trivial
     assert checked == 22 and nontrivial >= 5
+
+
+def test_kernel_routes_agree_where_target_orders_are_mixed():
+    # the presentation route scales row i of the induced matrix by n / o_i;
+    # an order strictly between 1 and n is scaled by neither 1 nor n
+    rng = random.Random(20261104)
+    groups = [cyclic_group(4), cyclic_group(6), cyclic_group(8),
+              klein_four_group(), symmetric_group_3()] + EXPLICIT_GROUPS
+    checked = strict = nontrivial = 0
+    for group in groups:
+        for _ in range(4):
+            fan = _orbit_fan(rng, random_lattice(rng, group, 3), 2, 12)
+            dm = divisor_map(fan)
+            orders = set(cohomology(dm.target, 2).boundaries.array.diagonal())
+            got = brauer_kernel(fan)
+            assert got == kernel_of_h2_map(dm), (group.name, fan.rays)
+            assert got == kernel_of_h2_map_via_presentations(dm), (group.name, fan.rays)
+            checked += 1
+            strict += any(1 < o < group.order for o in orders)
+            nontrivial += not got.is_trivial
+    assert checked == 36 and strict >= 15 and nontrivial >= 15, (strict, nontrivial)
+
+
+def test_brauer_kernel_takes_three_smith_forms_and_no_column_reduction(monkeypatch):
+    # one Smith form of d^1, one of the Shapiro tests, one for the cokernel
+    fans = [pure_divisorial_truncation(load_fixture(name).fan) for name in FIXTURE_NAMES]
+    for fan in fans:  # validation, smoothness and ray orbits are cached
+        full_report(fan)
+    calls = []
+
+    def refuse(a):
+        raise AssertionError("the Brauer kernel takes no column reduction")
+    for module in (import_module("torika.cohomology"), import_module("torika.linalg")):
+        smith = module._smith
+        monkeypatch.setattr(module, "_smith", lambda *args, smith=smith, **kw:
+                            calls.append(args[0].shape) or smith(*args, **kw))
+        monkeypatch.setattr(module, "_kernel_array", refuse)
+    for name, fan in zip(FIXTURE_NAMES, fans):
+        calls.clear()
+        brauer_kernel(fan)
+        assert len(calls) == 3, (name, calls)
 
 
 def _rotation_fan(vectors, extra=()):

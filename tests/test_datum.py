@@ -1,6 +1,7 @@
 """Datum files: loading, located errors, round trips."""
 
 import json
+import re
 import time
 from itertools import permutations
 from pathlib import Path
@@ -82,6 +83,15 @@ def test_generator_action_completion_klein():
         path = fh.name
     datum = load_datum(path)
     assert datum.action.act(3) == IntMatrix([[-1, 0], [0, -1]])
+
+
+@pytest.mark.parametrize("key", [" 1", "+1", "01", "1_0"])
+def test_generator_keys_are_decimal_element_indices(key):
+    c2 = group_preset("C2")
+    assert build_action(c2, 1, {"generators": {"1": [[-1]]}}).act(1) == IntMatrix([[-1]])
+    with pytest.raises(DatumError, match=re.escape(
+            f"generator key {key!r} is not an element index")):
+        build_action(c2, 1, {"generators": {key: [[-1]]}})
 
 
 def _s3_permutation_doc(action):

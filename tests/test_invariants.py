@@ -29,6 +29,14 @@ def family_fan(n):
     return GFan.from_max_cones(2, [(1, 0), (-1, n)], [(0,), (1,)])
 
 
+def test_full_report_refuses_a_negative_bound_before_any_stage(monkeypatch):
+    def refuse(fan):
+        raise AssertionError("a stage ran before the bound was checked")
+    monkeypatch.setattr(import_module("torika.invariants"), "brauer_kernel", refuse)
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        full_report(load_fixture("p2").fan, bound=-1)
+
+
 def test_class_group_n_family():
     assert class_group(family_fan(0)) == FinAbGroup.free(1)
     assert class_group(family_fan(1)).is_trivial

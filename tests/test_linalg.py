@@ -7,6 +7,7 @@ independent oracle.
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -562,6 +563,12 @@ def test_intmatrix_refuses_inexact_entries(bad):
         solve_integer(IntMatrix([[1]]), (bad,))
     with pytest.raises(TypeError):
         IntMatrix.from_array(np.array([[bad, 2]]))
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 2), (2, 0, 3), (3,)])
+def test_from_array_takes_two_dimensional_arrays_only(shape):
+    with pytest.raises(ValueError, match=rf"2-D array, got shape {re.escape(str(shape))}"):
+        IntMatrix.from_array(np.zeros(shape, dtype=object))
 
 
 def test_intmatrix_keeps_bool_and_numpy_integers_as_python_ints():

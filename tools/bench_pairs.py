@@ -8,15 +8,18 @@ in the two checkouts PARENT and CHANGE.  WORKLOAD:N runs pairs 0..N-1 and
 WORKLOAD:A-B pairs A..B-1; pair p uses seed p + 1, and even pairs run the
 parent first, odd pairs the change.  Each run appends one JSON line to
 OUT.jsonl: its side, seed, pair, exit status, pass (or round) count and
-the benchmark's last stdout line.  The benchmark keeps every pass's
-answers, so `peak_rss_mb` grows with the pass count, which is why the
-count is kept next to the metrics.
+the benchmark's last stdout line, or null when that line is not JSON (a
+failed run).  The benchmark keeps every pass's answers, so
+`peak_rss_mb` grows with the pass count, which is why the count is kept
+next to the metrics.
 
 `summary` prints, per workload and end-to-end metric, each side's median
 and quartiles (`statistics.quantiles(n=4, method='inclusive')`), the
 parent's interquartile range, the change's relative difference and the
 number of pairs the change wins, with the direction ("better") read from
-BENCHMARK.json; and each side's pass counts in pair order.
+BENCHMARK.json; and each side's pass counts in pair order.  Only the
+pairs in which both runs have a result are summarised, and only when
+there are two or more; the pairs of the failed runs are listed per side.
 """
 
 import json
@@ -48,9 +51,17 @@ def run(parent, change, out, specs):
                     record = {"side": side, "workload": workload, "seed": seed,
                               "pair": pair, "passes": int(passes.group(1)) if passes else None,
                               "shape": shape, "exit": proc.returncode,
-                              "line": json.loads(lines[-1]) if lines else None}
+                              "line": _result(lines)}
                     sink.write(json.dumps(record) + "\n")
                     sink.flush()
+
+
+def _result(lines):
+    """The last stdout line as JSON, or None when a failed run left none."""
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return None
 
 
 def quartiles(values):
@@ -64,11 +75,18 @@ def summary(out):
     result = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_pair = {}
+        failed = {"parent": [], "change": []}
         for r in runs:
             if r["workload"] == workload:
                 by_pair.setdefault(r["pair"], {})[r["side"]] = r
-        pairs = [p for _, p in sorted(by_pair.items()) if len(p) == 2]
-        table = {}
+                if r["line"] is None:
+                    failed[r["side"]].append(r["pair"])
+        pairs = [p for _, p in sorted(by_pair.items())
+                 if len(p) == 2 and all(r["line"] is not None for r in p.values())]
+        table = {"failed": failed}
+        if len(pairs) < 2:  # quartiles need two pairs
+            result[workload] = dict(table, pairs=len(pairs))
+            continue
         for metric, direction in better.items():
             parent = [p["parent"]["line"]["metrics"][metric]["value"] for p in pairs]
             change = [p["change"]["line"]["metrics"][metric]["value"] for p in pairs]
