@@ -481,10 +481,13 @@ def kernel_of_h2_map_via_presentations(
     The target's boundaries are diag(o_i) with o_i | n = |G|, so row i
     scaled by n / o_i is a congruence mod n (`_congruence_quotient`).  It
     shares the target's Smith form with `kernel_of_h2_map`, so it checks
-    the membership test, not the dimension shift itself.
+    the membership test, not the dimension shift itself.  A given
+    `induced` must be `induced_h2_map` of this `fmap`'s two lattices.
     """
     if induced is None:
         induced = induced_h2_map(fmap)
+    elif (induced.source.coefficients, induced.target.coefficients) != (fmap.source, fmap.target):
+        raise IncompatibleModulesError("induced map belongs to a different lattice map")
     n = induced.source.coefficients.group.order
     orders = induced.target.boundaries.array.diagonal()[:, None]
     return _congruence_quotient(n // orders * induced.matrix.array, n,

@@ -54,6 +54,7 @@ class IntMatrix:
 
     def __init__(self, rows, cols=None):
         data = [list(map(index, row)) for row in rows]
+        cols = None if cols is None else index(cols)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -62,7 +63,7 @@ class IntMatrix:
                 raise ValueError("explicit column count contradicts row data")
             a = np.array(data, dtype=object)
         else:
-            a = np.empty((0, 0 if cols is None else int(cols)), dtype=object)
+            a = np.empty((0, 0 if cols is None else cols), dtype=object)
         a.flags.writeable = False
         self._a = a
 

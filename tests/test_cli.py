@@ -8,8 +8,10 @@ import pytest
 
 from torika.cli import main
 from torika.cohomology import cohomology, trivial_lattice
+from torika.datum import datum_from_fan, load_datum, serialize_datum
 from torika.errors import ResourceLimitError
 from torika.groups import group_preset
+from torika.structure import pure_divisorial_truncation, rho_map
 
 from conftest import FIXTURE_NAMES, fixture_path
 
@@ -35,6 +37,23 @@ def test_validate_bad_exits_nonzero(capsys):
     assert code == 1
     assert "INVALID" in out
     assert "do not intersect in their common face" in out
+
+
+def test_validate_prints_every_record_in_order_and_exits_1_on_an_invalid_one(capsys):
+    good, bad, other = fixture_path("p2"), str(DATA / "bad_intersection.json"), fixture_path("a2")
+    assert run(capsys, "validate", good, bad, other) == (1, (
+        f"{good}: valid fan (3 rays, 7 cones)\n"
+        f"{bad}: INVALID\n"
+        f"  - cones (2,) and (0, 1) do not intersect in their common face\n"
+        f"{other}: valid fan (2 rays, 4 cones)\n"), "")
+
+
+def test_records_stream_so_a_later_error_follows_earlier_output(capsys, tmp_path):
+    path, missing = fixture_path("p2"), str(tmp_path / "missing.json")
+    _, first, _ = run(capsys, "report", path)
+    code, out, err = run(capsys, "report", path, missing)
+    assert (code, out) == (1, first)
+    assert err.splitlines() == [f"torika: {missing}: No such file or directory"]
 
 
 def test_validate_unreadable_file(capsys):
@@ -63,6 +82,11 @@ def test_truncate(capsys):
     doc = json.loads(out)
     assert doc["max_cones"] == [[0], [1]]
     assert doc["rays"] == [[1, 0], [0, 1]]
+    # the truncation is a datum, printed alike in both formats
+    paths = [fixture_path(name) for name in FIXTURE_NAMES]
+    text = run(capsys, "truncate", *paths)
+    assert text[0] == 0 and text[1].count('"max_cones"') == len(paths)
+    assert run(capsys, "truncate", "--format", "json", *paths) == text
 
 
 def test_standard_json(capsys):
@@ -71,6 +95,12 @@ def test_standard_json(capsys):
     doc = json.loads(out)
     assert doc["rho_matrix"] == [[1, -1]]
     assert doc["standard"]["lattice_rank"] == 2
+    for name in FIXTURE_NAMES:
+        datum = load_datum(fixture_path(name))
+        rho = rho_map(pure_divisorial_truncation(datum.fan))
+        std = datum_from_fan(rho.source, datum.name + "-standard")
+        out = run(capsys, "standard", "--format", "json", fixture_path(name))[1]
+        assert json.loads(out)["standard"] == serialize_datum(std), name
 
 
 def test_invariants_text(capsys):
@@ -228,6 +258,9 @@ def test_oversized_datum_is_refused_before_its_action_is_built(capsys, tmp_path)
                "--rank-limit\n")
     for degree in ("1", "2"):
         assert run(capsys, "cohomology", "--degree", degree, str(path)) == (1, "", refusal)
+    # every input is read before any H^n is printed
+    assert run(capsys, "cohomology", "--degree", "2", fixture_path("p2"), str(path)) == (
+        1, "", refusal)
     # degree 0 takes no guard, so the action is built and refused
     assert run(capsys, "cohomology", "--degree", "0", str(path)) == (
         1, "", f"torika: {path}: field 'action': action is not a homomorphism at (1, 1)\n")

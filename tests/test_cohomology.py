@@ -226,6 +226,20 @@ def test_kernel_example_both_algorithms():
     assert kernel_of_h2_map_via_presentations(f) == FinAbGroup(0, (2,))
 
 
+def test_kernel_via_presentations_refuses_an_induced_map_of_other_lattices():
+    # multiplication by 4 has kernel Z/4 on H^2(C4, Z) = Z/4 but Z/2 over C2
+    f4, f2 = (GLatticeMap(source=t, target=t, matrix=IntMatrix([[4]]))
+              for t in (trivial_lattice(cyclic_group(4), 1), trivial_lattice(C2, 1)))
+    assert kernel_of_h2_map_via_presentations(f4, induced_h2_map(f4)) == FinAbGroup(0, (4,))
+    assert kernel_of_h2_map_via_presentations(f2) == FinAbGroup(0, (2,))
+    # the regular module shares f2's source but not its target
+    reg = permutation_module(C2, C2.trivial_subgroup())
+    into_reg = GLatticeMap(source=f2.source, target=reg, matrix=IntMatrix([[1], [1]]))
+    for other in (f4, into_reg):
+        with pytest.raises(IncompatibleModulesError, match="different lattice map"):
+            kernel_of_h2_map_via_presentations(f2, induced_h2_map(other))
+
+
 def test_kernel_trivial_group_always_zero():
     t = trivial_group()
     a = trivial_lattice(t, 2)

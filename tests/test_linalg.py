@@ -551,7 +551,7 @@ def test_intmatrix_checks_and_zero_shapes():
     assert repr(IntMatrix.zeros(0, 2)) == "IntMatrix.zeros(0, 2)"
 
 
-@pytest.mark.parametrize("bad", [1.5, 2.0, "3", Fraction(3)])
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3", Fraction(3), 2.7])
 def test_intmatrix_refuses_inexact_entries(bad):
     with pytest.raises(TypeError):
         IntMatrix([[bad, 2]])
@@ -563,6 +563,10 @@ def test_intmatrix_refuses_inexact_entries(bad):
         solve_integer(IntMatrix([[1]]), (bad,))
     with pytest.raises(TypeError):
         IntMatrix.from_array(np.array([[bad, 2]]))
+    with pytest.raises(TypeError):
+        IntMatrix([], cols=bad)
+    with pytest.raises(TypeError):
+        IntMatrix([[1, 2]], cols=bad)
 
 
 @pytest.mark.parametrize("shape", [(), (2, 2, 2), (2, 0, 3), (3,)])
