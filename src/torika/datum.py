@@ -165,7 +165,7 @@ def build_action(group, rank, spec) -> GLattice:
     try:
         return GLattice(group, rank, matrices)
     except ValueError as exc:
-        # determinants only name the first element that is not unimodular
+        # unimodularity is checked only to name the first element that fails it
         bad = next((g for g, m in enumerate(matrices) if not _is_unimodular(m)), None)
         _require(bad is None, f"field 'action': action of element {bad} is not unimodular")
         raise DatumError(f"field 'action': {exc}") from None
@@ -227,6 +227,8 @@ def load_datum(path, *, normalize_rays=False, require_valid=True,
         raise DatumError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise DatumError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, a huge int
+        raise DatumError(f"{path}: {exc}") from None
     try:
         datum = _build_datum(doc, normalize_rays=normalize_rays, where=str(path),
                              limits=limits)

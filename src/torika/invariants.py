@@ -60,7 +60,8 @@ class InvariantReport:
     the pure divisorial truncation whenever the fan has larger cones;
     orbit data always refers to the fan as given.  splitting_group
     records the group the cohomology was taken over: the Brauer kernel
-    is relative to that level.
+    is relative to that level.  tropical_check is always True: a failed
+    check raises instead.
     """
 
     smooth: bool

@@ -4,10 +4,12 @@ All arithmetic is done with Python's arbitrary-precision integers, so
 fixed-width overflow cannot occur.  numpy arrays with dtype=object are
 the container at every boundary: the public IntMatrix wraps one such
 array, read-only, and the routines here take and return it without
-conversion.  Two eliminations each have one job: the Smith form
-(`_smith`, on lists of Python int rows) gives invariant factors, exact
-solves (`_solve`) and congruences, and a column reduction
-(`_kernel_array`) gives kernel bases.  Both pick the smallest available
+conversion.  One elimination, the Smith form (`_smith`, on lists of
+Python int rows), does every job: invariant factors, exact solves
+(`_solve`), unimodularity, and kernels.  With u @ a.T @ v = s in Smith
+form, the rows of u past the rank are a basis of ker a, saturated as u
+is unimodular (Cohen, GTM 138, section 2.4), so the kernel needs only
+the row operations.  The elimination picks the smallest available
 pivot, which keeps intermediate entries modest on the structured
 matrices produced elsewhere in the package.
 """
@@ -419,40 +421,10 @@ def _nonredundant_rows(a):
 
 
 def _kernel_array(a):
-    """Basis of {x : a @ x == 0} as the columns of an (n x k) array.
-
-    A unimodular column reduction, column-major (ct[j] is column j), that
-    tracks its transform vt: the columns that reduce to zero give the basis.
-    """
-    m, n = a.shape
-    ct = a.T.copy()
-    vt = _eye(n)
-    active = list(range(n))
-    for i in range(m):
-        while True:
-            nz = [j for j in active if ct[j, i] != 0]
-            if len(nz) <= 1:
-                break
-            p = min(nz, key=lambda j: (abs(ct[j, i]), j))
-            done = True
-            for j in nz:
-                if j == p:
-                    continue
-                q = ct[j, i] // ct[p, i]
-                if q:
-                    ct[j, i:] -= q * ct[p, i:]
-                    vt[j, :] -= q * vt[p, :]
-                if ct[j, i]:
-                    done = False
-            if done:
-                break
-        if nz:
-            active.remove(nz[0] if len(nz) == 1 else p)
-    return vt[sorted(active)].T.copy()
-
-
-def _rank(a):
-    return a.shape[1] - _kernel_array(a).shape[1]
+    """Basis of {x : a @ x == 0} as the columns of an (n x k) array: the
+    rows past the rank of u in u @ a.T @ v = s, v never formed."""
+    s, u, _, _ = _smith(a.T, left=_eye(a.shape[1]))
+    return u[np.count_nonzero(s.diagonal()):].T
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -541,35 +513,9 @@ def _coords_in_basis(basis, targets):
     return y
 
 
-def _det(m: IntMatrix) -> int:
-    """Determinant via fraction-free (Bareiss) elimination."""
-    n = m.rows
-    if n != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and _det(m) in (1, -1)
+    """Square, with every Smith diagonal entry 1."""
+    return m.rows == m.cols and all(d == 1 for d in _smith(m.array)[0].diagonal())
 
 
 def _content(vector) -> int:

@@ -22,7 +22,7 @@ from .errors import (IncompatibleModulesError, MalformedSubgroupError,
 from .fans import (GFan, _checked_cone, _points, _valid_subfan, is_smooth_cone,
                    ray_orbits)
 from .groups import FiniteGroup, Subgroup
-from .linalg import IntMatrix, _coords_in_basis, _kernel_array, _matmul
+from .linalg import IntMatrix, _coords_in_basis, _matmul
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,9 @@ def affine_structure(fan: GFan, cone) -> AffineStructure:
         raise ValueError(f"cone {cone.rays} is not smooth")
     # a stable cone is a union of whole ray orbits
     factors = [stab for orbit, stab in ray_orbits(fan) if orbit[0] in cone]
-    # units: characters vanishing on the cone, with the dual action
-    pairing = np.array([fan.rays[i].generator for i in cone.rays], dtype=object)
-    basis = _kernel_array(pairing.reshape(len(cone), fan.rank))
+    # units: characters vanishing on the cone, with the dual action; the
+    # cone form's normals are a basis of them
+    basis = np.array(fan.cone_form(cone).normals, dtype=object).reshape(-1, fan.rank).T
     dual = fan.action.dual()
     units = GLattice(fan.group, basis.shape[1], tuple(
         IntMatrix.from_array(_coords_in_basis(basis, _matmul(dual.act(g).array, basis)))

@@ -14,6 +14,7 @@ from torika.groups import group_preset
 from torika.structure import pure_divisorial_truncation, rho_map
 
 from conftest import FIXTURE_NAMES, fixture_path
+from test_datum import UNDECODABLE
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -60,6 +61,16 @@ def test_validate_unreadable_file(capsys):
     code, out, err = run(capsys, "validate", str(DATA / "missing.json"))
     assert code == 1
     assert "torika:" in err
+
+
+def test_validate_undecodable_file_is_one_located_line(capsys, tmp_path):
+    for name, (content, fragment) in UNDECODABLE.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"torika: {path}: "), err
+        assert fragment in err
 
 
 def test_validate_json_format(capsys):
@@ -212,6 +223,11 @@ def test_cohomology_lattice_without_group(capsys):
     ('{"rank": 1', "is not valid JSON"),
     ('[1]', 'expects {"rank": n, "action": ...}'),
     ('{"rank": 1, "action": [[[2]], [[1]]]}', "action of element 0 is not unimodular"),
+    # argv keeps the bytes of a non-UTF-8 argument as lone surrogates
+    pytest.param('{"rank": 1, "caf\udce9": null}', "codec can't encode character '\\udce9'",
+                 id="not_utf8"),
+    pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="deep"),
+    pytest.param('{"rank": ' + "9" * 5000 + "}", "Exceeds the limit", id="huge_int"),
 ])
 def test_cohomology_bad_inline_lattice_is_one_located_line(capsys, spec, says):
     code, out, err = run(capsys, "cohomology", "--splitting-group", "C2",

@@ -6,7 +6,8 @@ direct cocycle/coboundary enumeration done while deriving the tests.
 H^1, H^2 and the Brauer-type kernels are also checked against the
 bar route (`bar_h1`, `bar_h2`, `bar_kernel`): kernel of d^2 modulo the
 image of d^1, with maps lifted on 2-cochains and their kernels read by
-the general preimage quotient (`preimage_quotient`).  Groups given by
+the general preimage quotient (`preimage_quotient`), whose kernels are
+the column reduction of `linalg_oracles`.  Groups given by
 explicit tables (D4, Q8, A4, C2xC4) and relabeled copies of every group
 vary the generating set and spanning tree the presentation is read from.
 """
@@ -36,14 +37,14 @@ from torika.groups import (GROUP_PRESETS, FiniteGroup, cyclic_group,
                            trivial_group)
 from torika.invariants import brauer_kernel, full_report
 from torika.linalg import (FinAbGroup, IntMatrix, _cokernel_array,
-                           _coords_in_basis, _eye, _is_unimodular,
-                           _kernel_array, _matmul, _smith,
+                           _coords_in_basis, _eye, _matmul, _smith,
                            _unimodular_inverse)
 from torika.structure import (divisor_map, pure_divisorial_truncation,
                               standard_fan)
 
 from conftest import (EXPLICIT_GROUPS, FIXTURE_NAMES, cyclic_lattice,
                       load_fixture, rand_unimodular, random_equivariant_map)
+from linalg_oracles import bareiss_det, column_kernel
 
 C2 = cyclic_group(2)
 SIGN = GLattice(C2, 1, (IntMatrix.identity(1), IntMatrix([[-1]])))
@@ -288,14 +289,14 @@ def test_kernel_agreement_random():
 
 def bar_h2(lattice):
     """H^2 as ker d^2 modulo im d^1: (group, 2-cocycle basis, boundaries)."""
-    z = _kernel_array(_coboundary_array(lattice, 2))
+    z = column_kernel(_coboundary_array(lattice, 2))
     y = _coords_in_basis(z, _coboundary_array(lattice, 1))
     return _cokernel_array(y), z, y
 
 
 def bar_h1(lattice):
     """H^1 as ker d^1 modulo im d^0 in the bar complex."""
-    z = _kernel_array(_coboundary_array(lattice, 1))
+    z = column_kernel(_coboundary_array(lattice, 1))
     return _cokernel_array(_coords_in_basis(z, _coboundary_array(lattice, 0)))
 
 
@@ -311,28 +312,17 @@ def bar_shift_h2(lattice):
     return FinAbGroup(0, tuple(d for d in diag if d > 1))
 
 
-def column_span_basis(a):
-    """A basis of the lattice spanned by the columns of `a`.
-
-    With s = u @ a @ v in Smith form, the columns of a @ v = u^-1 @ s
-    span the same lattice, and those past the rank are zero.
-    """
-    s, _, v, _ = _smith(a, want_v=True)
-    rank = sum(1 for i in range(min(s.shape)) if s[i, i])
-    return _matmul(a, v[:, :rank])
-
-
 def preimage_quotient(images, relations, boundaries):
     """The x with images @ x in the span of `relations`, modulo `boundaries`.
 
-    The general route: the first k rows of a kernel basis of
-    [images | relations] span the preimage, and the boundaries are
-    solved for in a basis of that span.
+    The general route, by kernels alone: the first k rows P of a kernel
+    basis of [images | relations] span the preimage, which is then Z^c
+    modulo the first c rows of a kernel basis of [P | -boundaries].
     """
     k = images.shape[1]
-    ker = _kernel_array(np.concatenate([images, relations], axis=1))
-    basis = column_span_basis(ker[:k, :])
-    return _cokernel_array(_coords_in_basis(basis, boundaries))
+    span = column_kernel(np.concatenate([images, relations], axis=1))[:k, :]
+    c = span.shape[1]
+    return _cokernel_array(column_kernel(np.concatenate([span, -boundaries], axis=1))[:c, :])
 
 
 def bar_kernel(fmap):
@@ -356,7 +346,7 @@ def test_congruence_quotient_matches_the_preimage_oracle():
         n, t, k = rng.randint(2, 12), rng.randint(0, 4), rng.randint(0, 5)
         images = _random_array(rng, t, k, -2 * n, 2 * n)
         relations = n * _eye(t)
-        solutions = _kernel_array(np.concatenate([images, relations], axis=1))[:k, :]
+        solutions = column_kernel(np.concatenate([images, relations], axis=1))[:k, :]
         scaled = [n * _eye(k)[:, j:j + 1] for j in range(k) if rng.random() < 0.7]
         mixed = _matmul(solutions, _random_array(rng, solutions.shape[1],
                                                  rng.randint(0, 2), -3, 3))
@@ -679,7 +669,7 @@ def test_brauer_kernel_takes_three_smith_forms_and_no_column_reduction(monkeypat
     calls = []
 
     def refuse(a):
-        raise AssertionError("the Brauer kernel takes no column reduction")
+        raise AssertionError("the Brauer kernel takes no kernel basis")
     for module in (import_module("torika.cohomology"), import_module("torika.linalg")):
         smith = module._smith
         monkeypatch.setattr(module, "_smith", lambda *args, smith=smith, **kw:
@@ -754,7 +744,7 @@ def test_cohomology_and_induced_maps_take_no_generic_solve(monkeypatch):
             fixed = h0.cocycles.array
             for m in a.action_arrays():
                 assert (m.dot(fixed) == fixed).all(), group.name
-            bar_fixed = _kernel_array(_coboundary_array(a, 0))
+            bar_fixed = column_kernel(_coboundary_array(a, 0))
             assert h0.group == FinAbGroup.free(bar_fixed.shape[1]), group.name
             assert cohomology(a, 1).group == bar_h1(a), group.name
             ra, rb = cohomology(a, 2), cohomology(b, 2)
@@ -804,7 +794,7 @@ def _all_pairs_check(group, rank, mats):
     for g, m in enumerate(mats):
         if m.shape != (rank, rank):
             return f"action of element {g} is not {rank}x{rank}"
-        if not _is_unimodular(m):
+        if bareiss_det(m) not in (1, -1):
             return f"action of element {g} is not unimodular"
     if mats[group.identity] != IntMatrix.identity(rank):
         return "identity element must act as the identity matrix"
@@ -863,7 +853,7 @@ def test_nonunimodular_action_is_refused_at_its_failing_pair():
             g = rng.choice([x for x in group.elements() if x != group.identity])
             mats[g] = IntMatrix([[2 * x for x in mats[g].row(0)]]
                                 + mats[g].to_rows()[1:])
-            assert not _is_unimodular(mats[g])
+            assert bareiss_det(mats[g]) not in (1, -1)
             first = next((a, b) for a in group.elements() for b in group.elements()
                          if mats[a] @ mats[b] != mats[group.mul(a, b)])
             with pytest.raises(ValueError,
@@ -880,7 +870,8 @@ def test_valid_actions_take_no_determinant(monkeypatch):
 
     def refuse(m):
         raise AssertionError("the group law implies unimodularity")
-    monkeypatch.setattr(import_module("torika.linalg"), "_det", refuse)
+    for module in ("torika.linalg", "torika.datum"):
+        monkeypatch.setattr(import_module(module), "_is_unimodular", refuse)
     rng = random.Random(12)
     for group in DIFFERENTIAL_GROUPS + EXPLICIT_GROUPS:
         lattice = random_lattice(rng, group, 4)

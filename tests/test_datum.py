@@ -163,6 +163,25 @@ def test_malformed_fixture(name, fragment):
     assert name in message  # errors are located with the file path
 
 
+UNDECODABLE = {
+    "latin1": (b'{"name": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+    "deep": (b"[" * 100_000, "maximum recursion depth exceeded"),
+    "huge_int": (b'{"lattice_rank": ' + b"9" * 5000 + b"}", "Exceeds the limit"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_undecodable_file_is_one_located_datum_error(tmp_path, name):
+    content, fragment = UNDECODABLE[name]
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(content)
+    with pytest.raises(DatumError) as err:
+        load_datum(str(path))
+    message = str(err.value)
+    assert message.startswith(f"{path}: ") and fragment in message
+    assert "\n" not in message
+
+
 def test_full_action_lists_take_determinants_only_to_name_a_failure(monkeypatch):
     from torika import datum as datum_module
 

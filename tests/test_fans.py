@@ -22,12 +22,13 @@ from torika.fans import (Cone, ConeForm, GFan, Ray, _action_problems,
                          orbit_count, orbit_dimension, primitive_vector,
                          ray_orbits, support_lattice_points, validate_fan)
 from torika.groups import cyclic_group, klein_four_group, symmetric_group_3
-from torika.linalg import IntMatrix, _kernel_array, _rank, _smith
+from torika.linalg import IntMatrix, _kernel_array
 from torika.structure import is_pure_divisorial, pure_divisorial_truncation
 
 from conftest import (EXPLICIT_GROUPS, FIXTURE_DIR, bench_data, coxeter_b3_fan,
                       load_fixture, permutohedral_a3_fan, rand_unimodular,
                       random_smooth_fan)
+from linalg_oracles import column_kernel, column_rank, minor_invariant_factors
 from test_cohomology import (DIFFERENTIAL_GROUPS, _orbit_fan, _product_fan,
                              random_lattice)
 
@@ -41,7 +42,7 @@ def independent(fan, cone):
     """Oracle for a cone's ConeForm: its generators have full rank."""
     gens = np.array([fan.rays[i].generator for i in cone.rays],
                     dtype=object).reshape(len(cone), fan.rank)
-    return _rank(gens) == len(cone)
+    return column_rank(gens) == len(cone)
 
 
 def problems_of(fan):
@@ -306,7 +307,7 @@ def full_system_meet(fan, c1, c2):
     system = np.array(v1 + [tuple(-x for x in v) for v in v2],
                       dtype=object).reshape(-1, fan.rank).T
     common_gens = [fan.rays[i].generator for i in sorted(s1 & s2)]
-    for _, img in _extreme_directions(_kernel_array(system)):
+    for _, img in _extreme_directions(column_kernel(system)):
         point = tuple(sum(img[j] * v1[j][i] for j in range(k1))
                       for i in range(fan.rank))
         if _solve_nonneg_rational(common_gens, point) is None:
@@ -571,11 +572,9 @@ def test_cone_form_matches_rank_and_smith_form():
         k = len(gens)
         g = np.array(gens, dtype=object).reshape(k, rank)
         form = ConeForm.of(gens, rank)
-        assert form.independent == (_rank(g) == k)
-        s = _smith(g)[0]
-        diag = [s[i, i] for i in range(min(g.shape))]
-        assert form.smooth == (len([d for d in diag if d]) == k
-                               and all(d in (0, 1) for d in diag))
+        assert form.independent == (column_rank(g) == k)
+        diag = minor_invariant_factors(IntMatrix(gens, cols=rank))
+        assert form.smooth == (len(diag) == k and all(d == 1 for d in diag))
         if not form.independent:
             seen["dependent"] += 1
             continue
@@ -654,7 +653,7 @@ def test_cone_membership_matches_rational_oracle():
                 (case, gens, point)
             if want is None:
                 span = np.array(gens + [point], dtype=object).reshape(-1, rank)
-                seen["out" if _rank(span) == k else "off span"] += 1
+                seen["out" if column_rank(span) == k else "off span"] += 1
             else:
                 seen["face" if 0 in want else "in"] += 1
     assert min(seen.values()) >= 50, seen

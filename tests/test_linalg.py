@@ -1,15 +1,15 @@
 """Exact integer linear algebra: Smith forms, kernels, cokernels.
 
 Frozen values below were derived from the gcd-of-minors description of
-the invariant factors, which the harness reimplements here as an
-independent oracle.
+the invariant factors.  That description, a column reduction for
+kernels and ranks, and Bareiss determinants are the independent oracles
+of `linalg_oracles`, which share no elimination with the Smith form.
 """
 
-import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,35 +20,19 @@ from torika.cohomology import _cayley_complex, permutation_module
 from torika.groups import cyclic_group
 from torika.linalg import (FinAbGroup, IntMatrix, cokernel, kernel_basis,
                            smith_normal_form, solve_integer)
-from torika.linalg import (_coords_in_basis, _det, _eye, _is_unimodular,
-                           _kernel_array, _matmul, _nonredundant_rows, _rank,
+from torika.linalg import (_coords_in_basis, _eye, _is_unimodular,
+                           _kernel_array, _matmul, _nonredundant_rows,
                            _smith, _unimodular_inverse, _xgcd)
 
 from conftest import rand_unimodular
-
-
-def minor_invariant_factors(m: IntMatrix):
-    """Invariant factors via gcds of k x k minors; independent oracle."""
-    rows, cols = m.shape
-    factors = []
-    previous = 1
-    for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for ri in combinations(range(rows), k):
-            for ci in combinations(range(cols), k):
-                sub = IntMatrix([[m[i, j] for j in ci] for i in ri])
-                g = math.gcd(g, _det(sub))
-        if g == 0:
-            break
-        factors.append(g // previous)
-        previous = g
-    return factors
+from linalg_oracles import (bareiss_det, column_kernel, column_rank,
+                            minor_invariant_factors)
 
 
 def assert_valid_smith(m: IntMatrix):
     dec = smith_normal_form(m)
     assert dec.u @ m @ dec.v == dec.s
-    assert _is_unimodular(dec.u) and _is_unimodular(dec.v)
+    assert bareiss_det(dec.u) in (1, -1) and bareiss_det(dec.v) in (1, -1)
     diag = list(dec.diagonal)
     assert all(d >= 0 for d in diag)
     nonzero = [d for d in diag if d]
@@ -371,7 +355,68 @@ def test_kernel_property(rows):
     k = kernel_basis(m)
     assert all(x == 0 for x in (m @ k).entries)
     # columns are a basis: full column rank
-    assert len([d for d in smith_normal_form(k).diagonal if d]) == k.cols
+    assert column_rank(k.array) == k.cols
+
+
+def _kernel_cases(rng):
+    """Seeded matrices: every empty shape up to 4, then random ones, a
+    third of them products through a narrower middle, so rank-deficient."""
+    cases = [np.zeros((m, n), dtype=object) for m in range(5) for n in range(5)
+             if not m * n]
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.35:
+            r = rng.randint(0, min(m, n) - 1)
+            cases.append(_matmul(_random_entries(rng, m, r, 4),
+                                 _random_entries(rng, r, n, 4)))
+        else:
+            cases.append(_random_entries(rng, m, n, rng.choice((1, 6, 2 ** 40))))
+    return cases
+
+
+def test_smith_kernel_is_a_saturated_basis_of_the_oracle_kernel():
+    rng = random.Random(20261019)
+    deficient = 0
+    for a in _kernel_cases(rng):
+        k, want = _kernel_array(a), column_kernel(a)
+        assert k.shape == want.shape, a
+        assert kernel_basis(IntMatrix.from_array(a)).array.tolist() == k.tolist()
+        assert not _matmul(a, k).any(), a
+        # all Smith diagonal entries of k^T are 1: independent and saturated
+        diag = smith_normal_form(IntMatrix.from_array(k).transpose()).diagonal
+        assert all(d == 1 for d in diag) and len(diag) == k.shape[1], a
+        # each basis has integer coordinates in the other: one lattice
+        _coords_in_basis(k, want)
+        _coords_in_basis(want, k)
+        deficient += 0 < k.shape[1] < a.shape[1] and a.shape[0] >= a.shape[1]
+    assert deficient >= 50, deficient
+
+
+def test_is_unimodular_matches_the_bareiss_determinant():
+    rng = random.Random(20261020)
+    dets = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = rand_unimodular(rng, n).to_rows()
+        kind = rng.choice(("unimodular", "singular", "double", "random"))
+        if kind == "singular":
+            rows[-1] = [rng.randint(-2, 2) * x for x in rows[0]]
+        elif kind == "double":
+            i = rng.randrange(n)
+            rows[i] = [2 * x for x in rows[i]]
+        elif kind == "random":
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        m = IntMatrix(rows)
+        det = bareiss_det(m)
+        assert _is_unimodular(m) == (det in (1, -1)), rows
+        dets[det] += 1
+    assert all(dets[d] >= 15 for d in (1, -1, 0)), dets
+    assert dets[2] + dets[-2] >= 30, dets
+    assert _is_unimodular(IntMatrix.zeros(0, 0))
+    for shape in ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)):
+        eye = IntMatrix([[int(i == j) for j in range(shape[1])]
+                         for i in range(shape[0])], cols=shape[1])
+        assert not _is_unimodular(eye), shape
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,7 +449,7 @@ def test_rand_unimodular_is_unimodular():
     rng = random.Random(7)
     for n in (1, 2, 3, 4):
         for _ in range(10):
-            assert _is_unimodular(rand_unimodular(rng, n))
+            assert bareiss_det(rand_unimodular(rng, n)) in (1, -1)
 
 
 def kernel_route_coords(basis, targets):
@@ -417,7 +462,7 @@ def kernel_route_coords(basis, targets):
     Returns None when some target has no integer coordinates.
     """
     k, t = basis.shape[1], targets.shape[1]
-    ker = _kernel_array(np.concatenate([basis, targets], axis=1))
+    ker = column_kernel(np.concatenate([basis, targets], axis=1))
     if ker.shape[1] != t:
         return None
     try:
@@ -431,7 +476,7 @@ def random_independent_basis(rng, m, k):
     while True:
         basis = np.array([[rng.randint(-4, 4) for _ in range(k)]
                           for _ in range(m)], dtype=object).reshape(m, k)
-        if _rank(basis) == k:
+        if column_rank(basis) == k:
             return basis
 
 
