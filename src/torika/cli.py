@@ -88,9 +88,10 @@ def _standard(path, datum, args) -> Record:
 
 
 def _invariants(path, datum, args) -> Record:
-    report = _report(path, datum, args).doc
-    doc = {"file": path, **{key: report[key] for key in
-                            ("class_group", "brauer_kernel", "splitting_group")}}
+    rep = full_report(datum.fan)
+    doc = {"file": path, "class_group": _group_dict(rep.class_group),
+           "brauer_kernel": _group_dict(rep.brauer_kernel),
+           "splitting_group": rep.splitting_group}
     return Record(doc, [
         f"{path}: class_group = {doc['class_group']['pretty']}",
         f"{path}: brauer_kernel = {doc['brauer_kernel']['pretty']} "
@@ -213,9 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("smooth", _smooth, "smoothness verdict per cone")
     command("truncate", _truncate, "emit the pure divisorial truncation")
     command("standard", _standard, "emit the standard fan and the rho matrix")
-    # the report's bound, which changes nothing invariants prints
-    command("invariants", _invariants,
-            "class group and Brauer kernel").set_defaults(bound=5)
+    command("invariants", _invariants, "class group and Brauer kernel")
     p = command("cohomology", _cohomology,
                 "group cohomology of a character lattice", files="*")
     p.add_argument("--degree", type=int, choices=(0, 1, 2), default=2)

@@ -307,11 +307,11 @@ def _shifted_basis(d1, n):
     lifts[i] * orders[i]: H^2 = sum Z/orders[i].
     """
     # d^1 repeats rows; they change the Smith transforms, not the groups
-    s, _, v, w = _smith(_nonredundant_rows(d1), want_v=True)
-    diag = [s[i, i] if i < s.shape[0] else 0 for i in range(s.shape[1])]
-    lifts = np.array([n // gcd(n, d) if d else 1 for d in diag], dtype=object)
-    orders = tuple(gcd(n, d) if d else 1 for d in diag)
-    return v, w, len(diag) - diag.count(0), lifts, orders
+    d, _, v, w = _smith(_nonredundant_rows(d1), want_v=True)
+    diag = d + [0] * (d1.shape[1] - len(d))
+    lifts = np.array([n // gcd(n, x) if x else 1 for x in diag], dtype=object)
+    orders = tuple(gcd(n, x) if x else 1 for x in diag)
+    return v, w, len(d), lifts, orders
 
 
 def _congruence_quotient(images, n, boundaries) -> FinAbGroup:

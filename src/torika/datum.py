@@ -171,43 +171,42 @@ def build_action(group, rank, spec) -> GLattice:
         raise DatumError(f"field 'action': {exc}") from None
 
 
-def _build_datum(doc, *, normalize_rays=False, where="<data>",
-                 limits=None) -> ToricDatum:
-    _require(isinstance(doc, dict), f"{where}: top level must be an object")
+def _build_datum(doc, *, normalize_rays=False, limits=None) -> ToricDatum:
+    _require(isinstance(doc, dict), "top level must be an object")
     for key in ("group", "lattice_rank", "rays", "max_cones"):
-        _require(key in doc, f"{where}: missing required field '{key}'")
+        _require(key in doc, f"missing required field '{key}'")
     unknown = set(doc) - {"name", "group", "lattice_rank", "action",
                           "rays", "max_cones"}
-    _require(not unknown, f"{where}: unknown fields {sorted(unknown)}")
+    _require(not unknown, f"unknown fields {sorted(unknown)}")
     name = doc.get("name", "")
-    _require(isinstance(name, str), f"{where}: field 'name' must be a string")
+    _require(isinstance(name, str), "field 'name' must be a string")
     group = build_group(doc["group"])
     rank = _as_int(doc["lattice_rank"], "field 'lattice_rank'")
-    _require(rank >= 0, f"{where}: field 'lattice_rank' must be nonnegative")
+    _require(rank >= 0, "field 'lattice_rank' must be nonnegative")
     if limits is not None:  # refused before the action is built
         _check_limits(group, rank, *limits)
     action = build_action(group, rank, doc.get("action"))
     raw_rays = doc["rays"]
-    _require(isinstance(raw_rays, list), f"{where}: field 'rays' must be a list")
+    _require(isinstance(raw_rays, list), "field 'rays' must be a list")
     rays = []
     for i, vec in enumerate(raw_rays):
         _require(isinstance(vec, list) and len(vec) == rank,
-                 f"{where}: ray {i} must be a vector of length {rank}")
+                 f"ray {i} must be a vector of length {rank}")
         ray = tuple(_as_int(x, f"ray {i} entry") for x in vec)
         if normalize_rays:
             ray = primitive_vector(ray) if any(ray) else ray
         rays.append(ray)
     cones = doc["max_cones"]
-    _require(isinstance(cones, list), f"{where}: field 'max_cones' must be a list")
+    _require(isinstance(cones, list), "field 'max_cones' must be a list")
     for i, cone in enumerate(cones):
         _require(isinstance(cone, list),
-                 f"{where}: max_cones entry {i} must be a list of ray indices")
+                 f"max_cones entry {i} must be a list of ray indices")
         for x in cone:
             _as_int(x, f"max_cones entry {i} index")
         # refused before from_max_cones builds all 2^k faces of the cone
         k = len(set(cone))
         _require(k <= rank,
-                 f"{where}: max_cones entry {i} lists {k} rays, more than "
+                 f"max_cones entry {i} lists {k} rays, more than "
                  f"lattice_rank {rank}, so its generators are linearly dependent")
     fan = GFan.from_max_cones(rank, rays, cones, action=action)
     return ToricDatum(name=name, group_spec=doc["group"], fan=fan)
@@ -230,13 +229,9 @@ def load_datum(path, *, normalize_rays=False, require_valid=True,
     except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, a huge int
         raise DatumError(f"{path}: {exc}") from None
     try:
-        datum = _build_datum(doc, normalize_rays=normalize_rays, where=str(path),
-                             limits=limits)
+        datum = _build_datum(doc, normalize_rays=normalize_rays, limits=limits)
     except DatumError as exc:
-        message = str(exc)
-        if not message.startswith(str(path)):
-            message = f"{path}: {message}"
-        raise DatumError(message) from None
+        raise DatumError(f"{path}: {exc}") from None
     if require_valid:
         report = validate_fan(datum.fan)
         if not report.ok:

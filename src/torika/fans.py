@@ -86,9 +86,8 @@ class ConeForm:
     @classmethod
     def of(cls, generators, n):
         k = len(generators)
-        s, u, v, _ = _smith(np.array(generators, dtype=object).reshape(k, n),
+        d, u, v, _ = _smith(np.array(generators, dtype=object).reshape(k, n),
                             left=_eye(k), want_v=True)
-        d = [s[i, i] for i in range(min(k, n)) if s[i, i]]
         if len(d) < k:
             return cls(False, False)
         dual = v[:, :k] * np.array([d[-1] // x for x in d], dtype=object) @ u

@@ -8,12 +8,13 @@ walk from generators; subgroups, presentations and actions all read it.
 
 Each group and subgroup keeps `generating_set`, built once with it: the
 elements, in increasing order, outside the subgroup generated by those
-before them, so at most log2 of the order.  Every group law is checked
-on it.  The s with (ab)s = a(bs) for all a, b are closed under products
-(Light's test; Clifford-Preston, Algebraic Theory of Semigroups I), and
-a finite subset closed under products is a subgroup.  The elements that
-commute with a map or stabilize a set form a subgroup, so the least
-element that fails such a law is a generator.
+before them, so at most log2 of the order; each generator joins by a
+new `cayley_walk`.  Every group law is checked on it.  The s with
+(ab)s = a(bs) for all a, b are closed under products (Light's test;
+Clifford-Preston, Algebraic Theory of Semigroups I), and a finite subset
+closed under products is a subgroup.  The elements that commute with a
+map or stabilize a set form a subgroup, so the least element that fails
+such a law is a generator.
 """
 
 from __future__ import annotations
@@ -64,13 +65,13 @@ class FiniteGroup:
         lost = np.flatnonzero(~both.any(axis=1))
         if lost.size:
             raise MalformedGroupError(f"element {lost[0]} has no inverse")
-        gens = _greedy_generators(table, identity, range(n))
+        object.__setattr__(self, "identity", identity)
+        gens = _greedy_generators(self, range(n))
         for s in gens:  # Light's test: (ab)s = a(bs)
             wrong = np.argwhere(t[:, s][t] != t[:, t[:, s]])
             if wrong.size:
                 raise MalformedGroupError(
                     "associativity fails at ({}, {}, {})".format(*wrong[0], s))
-        object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "_inverses", tuple(both.argmax(axis=1).tolist()))
         object.__setattr__(self, "generating_set", gens)
 
@@ -143,21 +144,14 @@ class FiniteGroup:
         return f"FiniteGroup({label})"
 
 
-def _greedy_generators(table, identity, elements):
-    """The generating set by one right Cayley-graph walk, extended as each
-    generator joins; elements reached before it take only its edges."""
-    gens, reached, seen = [], [identity], {identity}
+def _greedy_generators(group, elements):
+    """The elements, in increasing order, that the generators before them
+    do not reach; each one joins by a new walk from all of them."""
+    gens, reached = [], {group.identity}
     for x in sorted(elements):
-        if x in seen:
-            continue
-        gens.append(x)
-        old = len(reached)
-        for i, g in enumerate(reached):  # grows while it is walked
-            for s in gens[-1:] if i < old else gens:
-                h = table[g][s]
-                if h not in seen:
-                    seen.add(h)
-                    reached.append(h)
+        if x not in reached:
+            gens.append(x)
+            reached.update(h for _, _, h, tree in group.cayley_walk(gens) if tree)
     return tuple(gens)
 
 
@@ -177,7 +171,7 @@ class Subgroup:
             raise MalformedSubgroupError(f"element {wrong[0]} out of range")
         if self.parent.identity not in elems:
             raise MalformedSubgroupError("subgroup must contain the identity")
-        gens = _greedy_generators(self.parent.table, self.parent.identity, elems)
+        gens = _greedy_generators(self.parent, elems)
         member = set(elems)
         for a, b in product(elems, gens):  # the Cayley graph's edges
             if self.parent.mul(a, b) not in member:

@@ -6,10 +6,11 @@ the container at every boundary: the public IntMatrix wraps one such
 array, read-only, and the routines here take and return it without
 conversion.  One elimination, the Smith form (`_smith`, on lists of
 Python int rows), does every job: invariant factors, exact solves
-(`_solve`), unimodularity, and kernels.  With u @ a.T @ v = s in Smith
-form, the rows of u past the rank are a basis of ker a, saturated as u
-is unimodular (Cohen, GTM 138, section 2.4), so the kernel needs only
-the row operations.  The elimination picks the smallest available
+(`_solve`), unimodularity, and kernels.  It returns the invariant
+factors, not the reduced matrix S, which only `smith_normal_form`
+builds.  With u @ a.T @ v = S in Smith form, the rows of u past the
+rank are a basis of ker a, saturated as u is unimodular (Cohen, GTM
+138, section 2.4), so the kernel needs only the row operations.  The elimination picks the smallest available
 pivot, which keeps intermediate entries modest on the structured
 matrices produced elsewhere in the package.
 """
@@ -293,13 +294,14 @@ def _find_pivot(s, k):
 def _smith(a, left=None, want_v=False):
     """Diagonalize a copy of `a` by unimodular row/column operations.
 
-    Returns (s, ul, v, w) with u @ a @ v == s and w @ v == 1 for a
-    unimodular u that is never formed: ul is u @ left, the row operations
+    Returns (d, ul, v, w) with u @ a @ v == S and w @ v == 1 for a
+    unimodular u that is never formed: d lists the nonzero diagonal
+    entries of S, the invariant factors, positive and each dividing the
+    next, so len(d) is the rank.  ul is u @ left, the row operations
     applied to a copy of `left` (m rows; the identity gives u itself),
-    and None without it.  v and w are None unless want_v.  The diagonal
-    is nonnegative, satisfies the divisibility chain and has its zeros
-    trailing.  The eliminations run on lists of Python int rows, which
-    the small matrices met here reduce faster than object-array slices.
+    and None without it.  v and w are None unless want_v.  The
+    eliminations run on lists of Python int rows, which the small
+    matrices met here reduce faster than object-array slices.
     """
     m, n = a.shape
     s = a.tolist()
@@ -381,7 +383,8 @@ def _smith(a, left=None, want_v=False):
                               [d0 // g * b - d1 // g * a for a, b in zip(u[i], u[j])])
             s[i][i] = g
             s[j][j] = lcm
-    return (_rows_array(s, n), None if u is None else _rows_array(u, np.shape(left)[1]),
+    return ([s[i][i] for i in range(rank)],
+            None if u is None else _rows_array(u, np.shape(left)[1]),
             None if v is None else _rows_array(v, n), None if w is None else _rows_array(w, n))
 
 
@@ -395,7 +398,10 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     Returns SmithDecomposition(u, s, v) satisfying u @ m @ v == s.
     """
-    s, u, v, _ = _smith(m.array, left=_eye(m.rows), want_v=True)
+    d, u, v, _ = _smith(m.array, left=_eye(m.rows), want_v=True)
+    s = np.zeros(m.shape, dtype=object)
+    for i, x in enumerate(d):
+        s[i, i] = x
     return SmithDecomposition(u=IntMatrix._adopt(u), s=IntMatrix._adopt(s),
                               v=IntMatrix._adopt(v))
 
@@ -422,9 +428,9 @@ def _nonredundant_rows(a):
 
 def _kernel_array(a):
     """Basis of {x : a @ x == 0} as the columns of an (n x k) array: the
-    rows past the rank of u in u @ a.T @ v = s, v never formed."""
-    s, u, _, _ = _smith(a.T, left=_eye(a.shape[1]))
-    return u[np.count_nonzero(s.diagonal()):].T
+    rows past the rank of u in u @ a.T @ v = S, v never formed."""
+    d, u, _, _ = _smith(a.T, left=_eye(a.shape[1]))
+    return u[len(d):].T
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -437,13 +443,8 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
 
 def _cokernel_array(a) -> FinAbGroup:
-    s = _smith(a)[0]
-    diag = [s[i, i] for i in range(min(a.shape))]
-    nonzero = [d for d in diag if d]
-    return FinAbGroup(
-        free_rank=a.shape[0] - len(nonzero),
-        torsion=tuple(d for d in nonzero if d > 1),
-    )
+    d = _smith(a)[0]
+    return FinAbGroup(free_rank=a.shape[0] - len(d), torsion=tuple(x for x in d if x > 1))
 
 
 def cokernel(m: IntMatrix) -> FinAbGroup:
@@ -454,15 +455,14 @@ def cokernel(m: IntMatrix) -> FinAbGroup:
 def _solve(a, b):
     """(rank of a, one integer Y with a @ Y == b, or None when there is none).
 
-    With s = u @ a @ v in Smith form, a @ Y == b reads s @ Z == u @ b for
+    With S = u @ a @ v in Smith form, a @ Y == b reads S @ Z == u @ b for
     Y = v @ Z: each row of u @ b must be divisible by its diagonal entry
-    of s, and zero past the rank (Cohen, GTM 138, section 2.4).  The row
+    of S, and zero past the rank (Cohen, GTM 138, section 2.4).  The row
     operations act on b directly, so the m x m matrix u is never formed.
     """
-    s, c, v, _ = _smith(a, left=b, want_v=True)
-    d = s.diagonal()
-    rank = np.count_nonzero(d)
-    d = d[:rank, None]
+    d, c, v, _ = _smith(a, left=b, want_v=True)
+    rank = len(d)
+    d = np.array(d, dtype=object).reshape(rank, 1)
     if np.count_nonzero(c[rank:]) or np.count_nonzero(c[:rank] % d):
         return rank, None
     z = np.zeros((a.shape[1], b.shape[1]), dtype=object)
@@ -485,17 +485,6 @@ def _matmul(a, b):
     return a @ b
 
 
-def _unimodular_inverse(a):
-    """Exact inverse of a unimodular integer matrix, as an object array."""
-    m, n = a.shape
-    if m != n:
-        raise ValueError("only square matrices can be unimodular")
-    _, inv = _solve(a, _eye(n))
-    if inv is None:
-        raise ValueError("matrix is not unimodular")
-    return inv
-
-
 def _coords_in_basis(basis, targets):
     """Solve basis @ Y == targets over Z, columnwise.
 
@@ -515,7 +504,7 @@ def _coords_in_basis(basis, targets):
 
 def _is_unimodular(m: IntMatrix) -> bool:
     """Square, with every Smith diagonal entry 1."""
-    return m.rows == m.cols and all(d == 1 for d in _smith(m.array)[0].diagonal())
+    return m.rows == m.cols and _smith(m.array)[0] == [1] * m.rows
 
 
 def _content(vector) -> int:

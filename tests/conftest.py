@@ -203,8 +203,8 @@ def cyclic_lattice(rng: random.Random, group: FiniteGroup, rank: int) -> GLattic
                 gen[at + i][at + j] = block[i][j]
         at += b
     u = rand_unimodular(rng, rank)
-    from torika.linalg import _unimodular_inverse
-    u_inv = IntMatrix.from_array(_unimodular_inverse(u.to_array()))
+    from torika.linalg import _coords_in_basis, _eye
+    u_inv = IntMatrix.from_array(_coords_in_basis(u.array, _eye(u.rows)))
     gen_m = _conjugate(IntMatrix(gen), u, u_inv)
     action = [IntMatrix.identity(rank)]
     for _ in range(1, n):

@@ -17,7 +17,8 @@ from torika.cohomology import (RANK_LIMIT, GLattice, cohomology,
 from torika.fans import GFan
 from torika.groups import cyclic_group, klein_four_group, symmetric_group_3
 from torika.invariants import brauer_kernel
-from torika.linalg import IntMatrix, _unimodular_inverse, smith_normal_form
+from torika.linalg import (IntMatrix, _coords_in_basis, _eye,
+                           smith_normal_form)
 from torika.structure import divisor_map, pure_divisorial_truncation
 
 from conftest import (EXPLICIT_GROUPS, FIXTURE_NAMES, bench_data, load_fixture,
@@ -41,7 +42,7 @@ def picard_lattice(fan):
     if any(d > 1 for d in diag):
         return None, "Pic has torsion"
     u = smith.u.array
-    project, section = u[fan.rank:], _unimodular_inverse(u)[:, fan.rank:]
+    project, section = u[fan.rank:], _coords_in_basis(u, _eye(len(u)))[:, fan.rank:]
     return GLattice(fan.group, len(fan.rays) - fan.rank, tuple(
         IntMatrix.from_array(project.dot(p.array).dot(section))
         for p in dm.target.action)), None
@@ -71,7 +72,7 @@ def _character_fan(rng, group, stabilized):
             lattice.act(h).apply(free) for h in sub.elements)))))
     rays = sorted({lattice.act(g).apply(v) for v in vectors for g in group.elements()})
     u = rand_unimodular(rng, n + 1)
-    u_inv = IntMatrix.from_array(_unimodular_inverse(u.to_array()))
+    u_inv = IntMatrix.from_array(_coords_in_basis(u.array, _eye(u.rows)))
     return GFan(rank=n + 1, rays=tuple(u.apply(r) for r in rays),
                 cones=tuple([()] + [(i,) for i in range(len(rays))]),
                 action=GLattice(group, n + 1, tuple(

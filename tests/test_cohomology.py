@@ -25,7 +25,8 @@ from torika.cohomology import (RANK_LIMIT, GLattice, GLatticeMap,
                                _apply_blockwise, _cayley_complex,
                                _coboundary_array, _congruence_quotient,
                                coboundary_matrix,
-                               cohomology, induced_h2_map, kernel_of_h2_map,
+                               cohomology, coset_permutations,
+                               induced_h2_map, kernel_of_h2_map,
                                kernel_of_h2_map_via_presentations,
                                permutation_module, tate_cyclic_h2,
                                trivial_lattice)
@@ -37,8 +38,7 @@ from torika.groups import (GROUP_PRESETS, FiniteGroup, cyclic_group,
                            trivial_group)
 from torika.invariants import brauer_kernel, full_report
 from torika.linalg import (FinAbGroup, IntMatrix, _cokernel_array,
-                           _coords_in_basis, _eye, _matmul, _smith,
-                           _unimodular_inverse)
+                           _coords_in_basis, _eye, _matmul, _smith)
 from torika.structure import (divisor_map, pure_divisorial_truncation,
                               standard_fan)
 
@@ -58,6 +58,12 @@ def test_glattice_validation():
         GLattice(C2, 2, (IntMatrix.identity(2), IntMatrix([[1, 1], [0, 1]])))
     with pytest.raises(ValueError):
         GLattice(C2, 1, (IntMatrix([[-1]]), IntMatrix.identity(1)))
+    with pytest.raises(ValueError, match="^negative rank$"):
+        GLattice(C2, -1, ())
+    with pytest.raises(ValueError, match="one action matrix per element, got 1 for order 2"):
+        GLattice(C2, 1, (IntMatrix.identity(1),))
+    with pytest.raises(ValueError, match="action of element 1 is not 1x1"):
+        GLattice(C2, 1, (IntMatrix.identity(1), IntMatrix.identity(2)))
 
 
 def test_dual_and_direct_sum():
@@ -94,6 +100,8 @@ def test_permutation_module_shapes():
     s3 = symmetric_group_3()
     h = s3.generated_subgroup((1,))
     assert permutation_module(s3, h).rank == 3
+    with pytest.raises(IncompatibleModulesError, match="subgroup belongs to a different group"):
+        coset_permutations(C2, s3.trivial_subgroup())
 
 
 def test_h0_invariants():
@@ -171,6 +179,8 @@ def test_additivity():
 def test_degree_guard():
     with pytest.raises(ValueError):
         cohomology(SIGN, 3)
+    with pytest.raises(ValueError, match="coboundary degree must be nonnegative"):
+        coboundary_matrix(SIGN, -1)
 
 
 def test_resource_limits():
@@ -215,6 +225,16 @@ def test_induced_identity_and_zero():
     assert kernel_of_h2_map(ident).is_trivial
     zero = GLatticeMap(source=triv, target=triv, matrix=IntMatrix([[0]]))
     assert kernel_of_h2_map(zero) == FinAbGroup(0, (2,))
+
+
+def test_induced_h2_map_refuses_a_foreign_presentation():
+    triv = trivial_lattice(C2, 1)
+    ident = GLatticeMap(source=triv, target=triv, matrix=IntMatrix.identity(1))
+    with pytest.raises(IncompatibleModulesError, match="expected a degree-2 presentation"):
+        induced_h2_map(ident, cohomology(triv, 1))
+    with pytest.raises(IncompatibleModulesError,
+                       match="presentation belongs to a different lattice"):
+        induced_h2_map(ident, cohomology(trivial_lattice(C2, 2), 2))
 
 
 def test_kernel_example_both_algorithms():
@@ -307,9 +327,8 @@ def bar_shift_h2(lattice):
     whose bar d^2 is too large to take a kernel of in a test.
     """
     n = lattice.group.order
-    s = _smith(_coboundary_array(lattice, 1))[0]
-    diag = [gcd(n, s[i, i]) for i in range(min(s.shape)) if s[i, i]]
-    return FinAbGroup(0, tuple(d for d in diag if d > 1))
+    orders = [gcd(n, d) for d in _smith(_coboundary_array(lattice, 1))[0]]
+    return FinAbGroup(0, tuple(o for o in orders if o > 1))
 
 
 def preimage_quotient(images, relations, boundaries):
@@ -371,7 +390,7 @@ def test_congruence_quotient_refuses_a_boundary_off_the_solutions():
 def _in_basis(rng, lattice):
     """The same lattice in a random basis."""
     u = rand_unimodular(rng, lattice.rank)
-    u_inv = IntMatrix.from_array(_unimodular_inverse(u.to_array()))
+    u_inv = IntMatrix.from_array(_coords_in_basis(u.array, _eye(u.rows)))
     return GLattice(lattice.group, lattice.rank,
                     tuple(u @ m @ u_inv for m in lattice.action))
 
@@ -614,7 +633,7 @@ def _product_fan(rng, group):
             m if g in sub else -m for g, m in enumerate(lattice.action)))
     d = lattice.rank
     u = rand_unimodular(rng, d)
-    u_inv = IntMatrix.from_array(_unimodular_inverse(u.to_array()))
+    u_inv = IntMatrix.from_array(_coords_in_basis(u.array, _eye(u.rows)))
     rays = [u.apply(tuple(s * (j == i) for j in range(d)))
             for i in range(d) for s in (1, -1)]
     cones = [tuple(2 * i + (k >> i & 1) for i in range(d)) for k in range(2 ** d)]
@@ -916,7 +935,7 @@ def test_dual_is_inverse_transpose():
             lattice = random_lattice(rng, group, 4)
             dual = lattice.dual()
             for g in group.elements():
-                inv = _unimodular_inverse(lattice.act(g).to_array())
+                inv = _coords_in_basis(lattice.act(g).array, _eye(lattice.rank))
                 assert dual.act(g) == IntMatrix.from_array(inv.T), (group.name, g)
             assert dual.dual() == lattice
             checked += 1

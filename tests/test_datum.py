@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from torika.cohomology import permutation_module
-from torika.datum import (build_action, datum_from_fan, dump_datum, load_datum,
-                          serialize_datum)
+from torika.datum import (build_action, build_group, datum_from_fan, dump_datum,
+                          load_datum, serialize_datum)
 from torika.errors import DatumError
 from torika.fans import validate_fan
 from torika.groups import group_preset
@@ -85,13 +85,23 @@ def test_generator_action_completion_klein():
     assert datum.action.act(3) == IntMatrix([[-1, 0], [0, -1]])
 
 
-@pytest.mark.parametrize("key", [" 1", "+1", "01", "1_0"])
+@pytest.mark.parametrize("key", [" 1", "+1", "01", "1_0", "a"])
 def test_generator_keys_are_decimal_element_indices(key):
     c2 = group_preset("C2")
     assert build_action(c2, 1, {"generators": {"1": [[-1]]}}).act(1) == IntMatrix([[-1]])
     with pytest.raises(DatumError, match=re.escape(
             f"generator key {key!r} is not an element index")):
         build_action(c2, 1, {"generators": {key: [[-1]]}})
+
+
+def test_group_and_generator_fields_refuse_bad_values():
+    c2 = group_preset("C2")
+    with pytest.raises(DatumError, match="field 'group' must be a preset name "
+                                         "or a table, got int"):
+        build_group(3)
+    # the identity's matrix is I before any generator is read
+    with pytest.raises(DatumError, match="element 0 is assigned two different matrices"):
+        build_action(c2, 1, {"generators": {"0": [[-1]]}})
 
 
 def _s3_permutation_doc(action):
@@ -180,6 +190,21 @@ def test_undecodable_file_is_one_located_datum_error(tmp_path, name):
     message = str(err.value)
     assert message.startswith(f"{path}: ") and fragment in message
     assert "\n" not in message
+
+
+@pytest.mark.parametrize("name, source, message", [
+    ("field", "nonunimodular_action",
+     "field 'action': the matrix for element 1 is not unimodular"),
+    ("ray", "float_ray", "ray 0 entry must be an integer, got 1.5"),
+])
+def test_relative_path_prefix_of_its_message_is_still_named(
+        tmp_path, monkeypatch, name, source, message):
+    # the relative path is a prefix of the message, which is located all the same
+    (tmp_path / name).write_bytes(Path(data_path(source)).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DatumError) as err:
+        load_datum(name)
+    assert str(err.value) == f"{name}: {message}"
 
 
 def test_full_action_lists_take_determinants_only_to_name_a_failure(monkeypatch):

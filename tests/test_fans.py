@@ -104,6 +104,15 @@ def test_duplicate_cone_listing():
 def test_dependent_cone():
     fan = GFan.from_max_cones(2, [(1, 0), (-1, 0)], [(0, 1)])
     assert "linearly dependent generators" in problems_of(fan)
+    with pytest.raises(ValueError, match="membership needs linearly independent generators"):
+        cone_contains_point(fan, (0, 1), (1, 0))
+
+
+def test_negative_rank_and_rank_mismatch_are_problems():
+    c2 = cyclic_group(2)
+    fan = GFan(-1, (), (Cone(()),), GLattice(c2, 0, (IntMatrix.zeros(0, 0),) * 2))
+    assert validate_fan(fan).problems == (
+        "negative lattice rank", "action has rank 0 but the fan has rank -1")
 
 
 def test_overlapping_cones():

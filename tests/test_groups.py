@@ -93,6 +93,10 @@ def test_malformed_table():
     # non-associative magma with a two-sided identity
     with pytest.raises(MalformedGroupError):
         FiniteGroup(order=3, table=((0, 1, 2), (1, 0, 0), (2, 0, 0)))
+    with pytest.raises(MalformedGroupError, match="at least one element"):
+        FiniteGroup(0, ())
+    with pytest.raises(MalformedGroupError, match="table entry 2 out of range"):
+        FiniteGroup(2, ((0, 1), (1, 2)))
 
 
 def test_subgroups():
@@ -107,6 +111,8 @@ def test_subgroups():
         Subgroup(s3, (1,))  # missing identity
     with pytest.raises(MalformedSubgroupError):
         Subgroup(s3, (0, 1, 2))  # not closed
+    with pytest.raises(MalformedSubgroupError, match="element 5 out of range"):
+        Subgroup(cyclic_group(2), (0, 5))
 
 
 def test_cyclic_subgroups():

@@ -22,7 +22,7 @@ from torika.linalg import (FinAbGroup, IntMatrix, cokernel, kernel_basis,
                            smith_normal_form, solve_integer)
 from torika.linalg import (_coords_in_basis, _eye, _is_unimodular,
                            _kernel_array, _matmul, _nonredundant_rows,
-                           _smith, _unimodular_inverse, _xgcd)
+                           _smith, _xgcd)
 
 from conftest import rand_unimodular
 from linalg_oracles import (bareiss_det, column_kernel, column_rank,
@@ -172,8 +172,9 @@ def _random_entries(rng, m, n, bound):
 
 
 def test_row_kernel_is_bit_identical_to_the_object_array_kernel():
-    """s, u @ left, v and w equal the oracle's on every shape up to 7 x 7,
-    zero rows and columns included, with and without `left` and `v`."""
+    """d is the oracle's nonzero diagonal, its zeros trailing, and u @ left,
+    v and w equal the oracle's on every shape up to 7 x 7, zero rows and
+    columns included, with and without `left` and `v`."""
     rng = random.Random(15)
     calls = []
     for m in range(8):
@@ -193,8 +194,11 @@ def test_row_kernel_is_bit_identical_to_the_object_array_kernel():
         for left in (None, _eye(a.shape[0])):
             calls += [(a, left, False), (a, left, True)]
     for a, left, want_v in calls:
-        got = _smith(a, left=left, want_v=want_v)
-        want = _array_smith(a, left=left, want_v=want_v)
+        d, *got = _smith(a, left=left, want_v=want_v)
+        s, *want = _array_smith(a, left=left, want_v=want_v)
+        diagonal = s.diagonal().tolist()
+        assert d == diagonal[:len(d)] and not any(diagonal[len(d):]), (a, left, want_v)
+        assert all(type(x) is int for x in d), (a, left, want_v)
         for x, y in zip(got, want):
             assert _same_entries(x, y), (a, left, want_v)
     assert any(abs(x) > 2 ** 63 for a, _, _ in calls for x in a.ravel())
@@ -206,10 +210,11 @@ def test_smith_tracks_inverse_column_transform():
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = IntMatrix([[rng.randint(-12, 12) for _ in range(cols)]
                        for _ in range(rows)])
-        s, _, v, w = _smith(m.to_array(), want_v=True)
+        d, _, v, w = _smith(m.to_array(), want_v=True)
         assert IntMatrix.from_array(w) @ IntMatrix.from_array(v) == \
             IntMatrix.identity(cols), case
-        assert IntMatrix.from_array(s) == smith_normal_form(m).s, case
+        assert tuple(d) + (0,) * (min(rows, cols) - len(d)) == \
+            smith_normal_form(m).diagonal, case
 
 
 def test_smith_frozen_values():
@@ -259,6 +264,10 @@ def test_solve_integer():
     assert solve_integer(m, (1, 1)) is None
     assert solve_integer(IntMatrix.zeros(2, 0), (0, 0)) == ()
     assert solve_integer(IntMatrix.zeros(2, 0), (1, 0)) is None
+    with pytest.raises(ValueError, match=r"right-hand side of length 3 against \(2, 2\)"):
+        solve_integer(m, (1, 2, 3))
+    with pytest.raises(ValueError, match=r"vector of length 3 against \(2, 2\)"):
+        m.apply((1, 2, 3))
 
 
 def test_finabgroup_canonical():
@@ -441,6 +450,8 @@ def test_coords_in_basis():
     outside = IntMatrix([[1], [0]]).to_array()
     with pytest.raises(ValueError):
         _coords_in_basis(basis, outside)
+    with pytest.raises(ValueError, match="basis and targets have different heights"):
+        _coords_in_basis(basis, _eye(3))
 
 
 def test_rand_unimodular_is_unimodular():
@@ -466,7 +477,7 @@ def kernel_route_coords(basis, targets):
     if ker.shape[1] != t:
         return None
     try:
-        inv = _unimodular_inverse(ker[k:, :])
+        inv = _coords_in_basis(ker[k:, :], _eye(t))
     except ValueError:
         return None
     return -_matmul(ker[:k, :], inv)

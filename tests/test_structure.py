@@ -255,6 +255,11 @@ def test_tropical_check_refuses_a_negative_bound():
         tropical_int_check(load_fixture("standard_c2").fan, -1)
 
 
+def test_pure_divisorial_support_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match="^bound must be nonnegative$"):
+        pure_divisorial_support(load_fixture("standard_c2").fan, -1)
+
+
 def test_tropical_check_random_truncations():
     rng = random.Random(31)
     for _ in range(6):
