@@ -15,15 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import NamedTuple
 
 from .cohomology import ORDER_LIMIT, RANK_LIMIT, _check_limits, cohomology
-from .datum import (_as_int, _require, build_action, datum_from_fan,
+from .datum import (HUGE_INT, _as_int, _require, build_action, datum_from_fan,
                     load_datum, serialize_datum)
-from .errors import DatumError, TorikaError
+from .errors import DatumError, ResourceLimitError, StageError, TorikaError
 from .fans import is_smooth_cone, validate_fan
 from .groups import GROUP_PRESETS, group_preset
-from .invariants import full_report
+from .invariants import _truncation_invariants, full_report
 from .linalg import FinAbGroup
 from .structure import (character_lattice, pure_divisorial_truncation,
                         rho_map, tropical_int_check)
@@ -88,10 +89,10 @@ def _standard(path, datum, args) -> Record:
 
 
 def _invariants(path, datum, args) -> Record:
-    rep = full_report(datum.fan)
-    doc = {"file": path, "class_group": _group_dict(rep.class_group),
-           "brauer_kernel": _group_dict(rep.brauer_kernel),
-           "splitting_group": rep.splitting_group}
+    _, cls, brauer = _truncation_invariants(datum.fan)
+    doc = {"file": path, "class_group": _group_dict(cls),
+           "brauer_kernel": _group_dict(brauer),
+           "splitting_group": datum.group.name or f"order-{datum.group.order}"}
     return Record(doc, [
         f"{path}: class_group = {doc['class_group']['pretty']}",
         f"{path}: brauer_kernel = {doc['brauer_kernel']['pretty']} "
@@ -160,8 +161,10 @@ def _inline_lattice(args, limits):
         raise TorikaError("--lattice needs --splitting-group")
     try:  # argv keeps bytes that are not UTF-8 as surrogates, which encode refuses
         spec = json.loads(args.lattice.encode())
-    except (ValueError, RecursionError) as exc:  # bad syntax, too deep, a huge int
+    except (UnicodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TorikaError(f"--lattice is not valid JSON: {exc}") from None
+    except ValueError:
+        raise TorikaError(f"--lattice: {HUGE_INT}") from None
     _require(isinstance(spec, dict) and "rank" in spec,
              '--lattice expects {"rank": n, "action": ...}')
     unknown = sorted(set(spec) - {"rank", "action"})
@@ -170,7 +173,8 @@ def _inline_lattice(args, limits):
     _require(rank >= 0, f"--lattice field 'rank' must be nonnegative, got {rank}")
     group = group_preset(args.splitting_group)
     if limits is not None:  # refused before the action is built
-        _check_limits(group, rank, *limits)
+        with _located("--lattice", args):
+            _check_limits(group, rank, *limits)
     try:
         return build_action(group, rank, spec.get("action"))
     except DatumError as exc:
@@ -186,12 +190,28 @@ def _inputs(args):
     # H^0 builds no d^1, so it takes no size guard
     limits = (args.order_limit, args.rank_limit) if args.degree else None
     jobs = [] if args.lattice is None else [("<inline>", _inline_lattice(args, limits))]
-    jobs += [(path, character_lattice(load_datum(
-        path, normalize_rays=args.normalize_rays, limits=limits).fan))
-        for path in args.files]
+    for path in args.files:
+        with _located(path, args):
+            jobs.append((path, character_lattice(load_datum(
+                path, normalize_rays=args.normalize_rays, limits=limits).fan)))
     if not jobs:
         raise TorikaError("cohomology needs a datum file or --lattice")
     return jobs
+
+
+@contextmanager
+def _located(label, args):
+    """Name a size refusal's input, and only a flag this command has."""
+    try:
+        yield
+    except (ResourceLimitError, StageError) as exc:
+        refused = getattr(exc, "original", exc)
+        if not isinstance(refused, ResourceLimitError):
+            raise
+        stage = f"{exc.stage}: " if exc is not refused else ""
+        how = (f"; raise it with --{refused.limit}-limit"
+               if refused.limit and hasattr(args, f"{refused.limit}_limit") else "")
+        raise TorikaError(f"{label}: {stage}{refused.refusal}{how}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -239,7 +259,8 @@ def main(argv=None) -> int:
             raise ValueError("bound must be nonnegative")
         status = 0
         for label, item in _inputs(args):
-            record = args.record(label, item, args)
+            with _located(label, args):
+                record = args.record(label, item, args)
             print(_json(record.doc) if args.format == "json"
                   else "\n".join(record.lines))
             status |= not record.ok

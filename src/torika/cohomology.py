@@ -30,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
-
-import numpy as np
+from operator import add, mul, sub
 
 from .errors import IncompatibleModulesError, ResourceLimitError, UnsupportedGroupError
 from .groups import FiniteGroup, Subgroup
@@ -40,7 +39,7 @@ from .linalg import (
     IntMatrix,
     _cokernel_array,
     _coords_in_basis,
-    _eye,
+    _diag,
     _kernel_array,
     _matmul,
     _nonredundant_rows,
@@ -84,14 +83,11 @@ class GLattice:
                 raise ValueError(f"action of element {g} is not {self.rank}x{self.rank}")
         if mats[self.group.identity] != IntMatrix.identity(self.rank):
             raise ValueError("identity element must act as the identity matrix")
-        acts = np.stack([m.array for m in mats])
-        table = np.array(self.group.table)
-        gens = list(self.group.generating_set)
-        edges = np.matmul(acts[:, None], acts[gens][None, :])
-        if (edges != acts[table[:, gens]]).any():
-            products = np.matmul(acts[:, None], acts[None, :])
-            wrong = np.argwhere((products != acts[table]).any(axis=(2, 3)))
-            raise ValueError("action is not a homomorphism at ({}, {})".format(*wrong[0]))
+        for s in self.group.generating_set:
+            if any(m @ mats[s] != mats[self.group.mul(g, s)] for g, m in enumerate(mats)):
+                g, h = next((g, h) for g, h in product(range(len(mats)), repeat=2)
+                            if mats[g] @ mats[h] != mats[self.group.mul(g, h)])
+                raise ValueError(f"action is not a homomorphism at ({g}, {h})")
 
     @classmethod
     def _adopt(cls, group, rank, action):
@@ -102,10 +98,6 @@ class GLattice:
 
     def act(self, g) -> IntMatrix:
         return self.action[g]
-
-    def action_arrays(self):
-        """The action matrices as read-only object arrays."""
-        return [m.array for m in self.action]
 
     def dual(self) -> "GLattice":
         """The dual lattice Hom(L, Z) with the contragredient action.
@@ -122,9 +114,10 @@ class GLattice:
         """Block-diagonal action: an action because both summands are."""
         if self.group != other.group:
             raise IncompatibleModulesError("direct sum needs a common group")
-        zero = np.zeros((self.rank, other.rank), dtype=object)
+        right, left = (0,) * other.rank, (0,) * self.rank
         return GLattice._adopt(self.group, self.rank + other.rank, (
-            IntMatrix.from_array(np.block([[a.array, zero], [zero.T, b.array]]))
+            IntMatrix._adopt([r + right for r in a._r] + [left + r for r in b._r],
+                             self.rank + other.rank)
             for a, b in zip(self.action, other.action)))
 
 
@@ -213,11 +206,10 @@ def _check_limits(group, rank, order_limit=ORDER_LIMIT, rank_limit=RANK_LIMIT,
                                      ("lattice rank", "rank", rank, rank_limit)):
         if value > limit:
             gens = len(group.generating_set)
-            how = (f"; raise it with {flag}_limit= or torika cohomology "
-                   f"--{flag}-limit" if raisable else "")
             raise ResourceLimitError(
                 f"{what} {value} exceeds the limit {limit} (d^1 would be "
-                f"{rank * (order * (gens - 1) + 1)}x{rank * gens}){how}")
+                f"{rank * (order * (gens - 1) + 1)}x{rank * gens})",
+                flag if raisable else None)
 
 
 def _cayley_complex(lattice: GLattice):
@@ -226,28 +218,25 @@ def _cayley_complex(lattice: GLattice):
     `paths[g]` is E_g, the rank x rank*|S| matrix with f(g) = E_g @ f for
     a crossed homomorphism f = (f(s))_s, built along the tree edges of
     `FiniteGroup.cayley_walk`; `d1` stacks E_g + g P_s - E_gs over the
-    edges (g, s) off the tree, one rank-row block each.
+    edges (g, s) off the tree, one rank-row block each: row lists.
     """
     group = lattice.group
     gens = group.generating_set
     rank = lattice.rank
-    acts = lattice.action_arrays()
+    acts = [m._r for m in lattice.action]
     paths = [None] * group.order
-    paths[group.identity] = np.zeros((rank, rank * len(gens)), dtype=object)
-    relations = []
+    paths[group.identity] = [[0] * (rank * len(gens)) for _ in range(rank)]
+    d1 = []
     for g, j, h, tree in group.cayley_walk(gens):
-        step = paths[g].copy()
-        step[:, j * rank:(j + 1) * rank] += acts[g]
+        step = [list(row) for row in paths[g]]
+        block = slice(j * rank, (j + 1) * rank)
+        for row, act in zip(step, acts[g]):
+            row[block] = map(add, row[block], act)
         if tree:
             paths[h] = step
         else:
-            relations.append(step - paths[h])
-    return gens, paths, _stack(relations, rank * len(gens))
-
-
-def _stack(blocks, width):
-    """The row blocks stacked, as a (0 x width) array when there are none."""
-    return np.concatenate(blocks) if blocks else np.zeros((0, width), dtype=object)
+            d1 += [list(map(sub, a, b)) for a, b in zip(step, paths[h])]
+    return gens, paths, d1
 
 
 def _flat(tup, order):
@@ -262,43 +251,40 @@ def _coboundary_array(lattice: GLattice, n: int):
     order = lattice.group.order
     rank = lattice.rank
     table = lattice.group.table
-    acts = lattice.action_arrays()
-    rows = rank * order ** (n + 1)
-    cols = rank * order ** n
-    d = np.zeros((rows, cols), dtype=object)
+    acts = [m._r for m in lattice.action]
+    d = [[0] * (rank * order ** n) for _ in range(rank * order ** (n + 1))]
     for tup in product(range(order), repeat=n + 1):
         rbase = _flat(tup, order) * rank
         cbase = _flat(tup[1:], order) * rank
-        d[rbase:rbase + rank, cbase:cbase + rank] += acts[tup[0]]
-        sign = 1
-        for i in range(1, n + 1):
-            sign = -sign
-            merged = tup[:i - 1] + (table[tup[i - 1]][tup[i]],) + tup[i + 1:]
-            cbase = _flat(merged, order) * rank
+        block = slice(cbase, cbase + rank)
+        for t, act in enumerate(acts[tup[0]]):
+            d[rbase + t][block] = map(add, d[rbase + t][block], act)
+        faces = [tup[:i - 1] + (table[tup[i - 1]][tup[i]],) + tup[i + 1:]
+                 for i in range(1, n + 1)] + [tup[:-1]]
+        for i, face in enumerate(faces, 1):
+            cbase = _flat(face, order) * rank
             for t in range(rank):
-                d[rbase + t, cbase + t] += sign
-        sign = -sign
-        cbase = _flat(tup[:-1], order) * rank
-        for t in range(rank):
-            d[rbase + t, cbase + t] += sign
+                d[rbase + t][cbase + t] += (-1) ** i
     return d
 
 
 def coboundary_matrix(lattice: GLattice, n: int) -> IntMatrix:
     if n < 0:
         raise ValueError("coboundary degree must be nonnegative")
-    return IntMatrix.from_array(_coboundary_array(lattice, n))
+    return IntMatrix._adopt(_coboundary_array(lattice, n),
+                            lattice.rank * lattice.group.order ** n)
 
 
 def _d0(lattice: GLattice, gens):
-    """d^0 x = (s x - x)_s over the generators, a rank*|S| x rank array."""
-    acts = lattice.action_arrays()
-    eye = _eye(lattice.rank)
-    return _stack([acts[s] - eye for s in gens], lattice.rank)
+    """d^0 x = (s x - x)_s over the generators, a rank*|S| x rank row list."""
+    acts = [m._r for m in lattice.action]
+    return [[x - (i == j) for j, x in enumerate(row)]
+            for s in gens for i, row in enumerate(acts[s])]
 
 
-def _shifted_basis(d1, n):
-    """(v, w, rank, lifts, orders) from one Smith form s = u @ d^1 @ v, w = v^-1.
+def _shifted_basis(d1, cols, n):
+    """(v, w, rank, lifts, orders) from one Smith form s = u @ d^1 @ v, w = v^-1
+    of the row list d1, `cols` wide.
 
     ker d^1 is spanned by v[:, rank:], in which a cocycle f has
     coordinates (w @ f)[rank:].  In the coordinates y = w @ f, f is a
@@ -307,9 +293,9 @@ def _shifted_basis(d1, n):
     lifts[i] * orders[i]: H^2 = sum Z/orders[i].
     """
     # d^1 repeats rows; they change the Smith transforms, not the groups
-    d, _, v, w = _smith(_nonredundant_rows(d1), want_v=True)
-    diag = d + [0] * (d1.shape[1] - len(d))
-    lifts = np.array([n // gcd(n, x) if x else 1 for x in diag], dtype=object)
+    d, _, v, w = _smith(_nonredundant_rows(d1), cols=cols)
+    diag = d + [0] * (cols - len(d))
+    lifts = [n // gcd(n, x) if x else 1 for x in diag]
     orders = tuple(gcd(n, x) if x else 1 for x in diag)
     return v, w, len(d), lifts, orders
 
@@ -321,24 +307,24 @@ def _congruence_quotient(images, n, boundaries) -> FinAbGroup:
     solution exactly when lifts[i] | z[i]: the solutions are v diag(lifts) Z^k,
     where a boundary b, which must be one, has coordinates (w @ b) / lifts.
     """
-    _, w, _, lifts, _ = _shifted_basis(images, n)
+    _, w, _, lifts, _ = _shifted_basis(images, len(boundaries), n)
     y = _matmul(w, boundaries)
-    if np.count_nonzero(y % lifts[:, None]):
+    if any(x % p for row, p in zip(y, lifts) for x in row):
         raise ValueError("a boundary is not a solution of the congruences")
-    return _cokernel_array(y // lifts[:, None])
+    return _cokernel_array([[x // p for x in row] for row, p in zip(y, lifts)])
 
 
 def _h2_result(lattice, d1) -> CohomologyResult:
     """H^2 of the lattice from the d^1 of its presentation."""
-    v, w, _, lifts, orders = _shifted_basis(d1, lattice.group.order)
-    w.flags.writeable = False
+    width = lattice.rank * len(lattice.group.generating_set)
+    v, w, _, lifts, orders = _shifted_basis(d1, width, lattice.group.order)
     return CohomologyResult(
         degree=2,
         coefficients=lattice,
         group=FinAbGroup(0, tuple(d for d in orders if d > 1)),
-        cocycles=IntMatrix.from_array(v * lifts),
-        boundaries=IntMatrix.from_array(np.diag(np.array(orders, dtype=object))),
-        _coords=(w, lifts[:, None]),
+        cocycles=IntMatrix._adopt([list(map(mul, row, lifts)) for row in v], width),
+        boundaries=IntMatrix._adopt(_diag(orders), width),
+        _coords=(tuple(map(tuple, w)), tuple(lifts)),
     )
 
 
@@ -355,27 +341,28 @@ def cohomology(lattice: GLattice, degree: int, *,
     if degree not in (0, 1, 2):
         raise ValueError("only degrees 0, 1 and 2 are supported")
     if degree == 0:
-        inv = _kernel_array(_d0(lattice, lattice.group.generating_set))
-        k = inv.shape[1]
+        inv = _kernel_array(_d0(lattice, lattice.group.generating_set), lattice.rank)
+        k = len(inv[0]) if inv else 0
         return CohomologyResult(
             degree=0,
             coefficients=lattice,
             group=FinAbGroup.free(k),
-            cocycles=IntMatrix.from_array(inv),
+            cocycles=IntMatrix._adopt(inv, k),
             boundaries=IntMatrix.zeros(k, 0),
         )
     _check_limits(lattice.group, lattice.rank, order_limit, rank_limit)
     gens, _, d1 = _cayley_complex(lattice)
     if degree == 2:
         return _h2_result(lattice, d1)
-    v, w, rank, _, _ = _shifted_basis(d1, lattice.group.order)
+    width = lattice.rank * len(gens)
+    v, w, rank, _, _ = _shifted_basis(d1, width, lattice.group.order)
     y = _matmul(w[rank:], _d0(lattice, gens))
     return CohomologyResult(
         degree=1,
         coefficients=lattice,
         group=_cokernel_array(y),
-        cocycles=IntMatrix.from_array(v[:, rank:]),
-        boundaries=IntMatrix.from_array(y),
+        cocycles=IntMatrix._adopt([row[rank:] for row in v], width - rank),
+        boundaries=IntMatrix._adopt(y, lattice.rank),
     )
 
 
@@ -389,20 +376,17 @@ def tate_cyclic_h2(lattice: GLattice) -> FinAbGroup:
     group = lattice.group
     if not group.is_cyclic():
         raise UnsupportedGroupError("norm-quotient evaluation needs a cyclic group")
-    acts = lattice.action_arrays()
-    norm = np.zeros((lattice.rank, lattice.rank), dtype=object)
-    for g in group.elements():
-        norm += acts[g]
-    fixed = _kernel_array(_d0(lattice, group.generating_set))
+    norm = [list(map(sum, zip(*rows))) for rows in zip(*(m._r for m in lattice.action))]
+    fixed = _kernel_array(_d0(lattice, group.generating_set), lattice.rank)
     y = _coords_in_basis(fixed, norm)
     return _cokernel_array(y)
 
 
 def _apply_blockwise(fmap: GLatticeMap, vectors, blocks):
-    """Apply the coefficient map to each rank-block of stacked cochains."""
-    cols = vectors.shape[1]
-    stacked = vectors.reshape(blocks, fmap.source.rank, cols)
-    return np.matmul(fmap.matrix.array, stacked).reshape(blocks * fmap.target.rank, cols)
+    """Apply the coefficient map to each rank-block of stacked cochain rows."""
+    rank = fmap.source.rank
+    return [row for b in range(blocks)
+            for row in _matmul(fmap.matrix._r, vectors[b * rank:(b + 1) * rank])]
 
 
 @dataclass(frozen=True)
@@ -442,14 +426,14 @@ def induced_h2_map(fmap: GLatticeMap,
     """
     r1 = _h2_of(fmap.source, source_result)
     r2 = _h2_of(fmap.target, target_result)
-    fz = _apply_blockwise(fmap, r1.cocycles.array,
+    fz = _apply_blockwise(fmap, r1.cocycles._r,
                           len(fmap.source.group.generating_set))
     w, lifts = r2._coords
     y = _matmul(w, fz)
-    if np.count_nonzero(y % lifts):
+    if any(x % p for row, p in zip(y, lifts) for x in row):
         raise ValueError("an image is not a cocycle mod the group order")
-    return InducedCohomologyMap(source=r1, target=r2,
-                                matrix=IntMatrix.from_array(y // lifts))
+    return InducedCohomologyMap(source=r1, target=r2, matrix=IntMatrix._adopt(
+        [[x // p for x in row] for row, p in zip(y, lifts)], r1.cocycles.cols))
 
 
 def kernel_of_h2_map(fmap: GLatticeMap,
@@ -464,11 +448,12 @@ def kernel_of_h2_map(fmap: GLatticeMap,
     """
     r1 = _h2_of(fmap.source, source_result)
     r2 = _h2_of(fmap.target, None)
-    tested = [i for i, d in enumerate(r2.boundaries.array.diagonal()) if d > 1]
-    fz = _apply_blockwise(fmap, r1.cocycles.array,
+    w = r2._coords[0]
+    tested = [w[i] for i, row in enumerate(r2.boundaries._r) if row[i] > 1]
+    fz = _apply_blockwise(fmap, r1.cocycles._r,
                           len(fmap.source.group.generating_set))
-    return _congruence_quotient(_matmul(r2._coords[0][tested, :], fz),
-                                fmap.source.group.order, r1.boundaries.array)
+    return _congruence_quotient(_matmul(tested, fz),
+                                fmap.source.group.order, r1.boundaries._r)
 
 
 def kernel_of_h2_map_via_presentations(
@@ -489,9 +474,9 @@ def kernel_of_h2_map_via_presentations(
     elif (induced.source.coefficients, induced.target.coefficients) != (fmap.source, fmap.target):
         raise IncompatibleModulesError("induced map belongs to a different lattice map")
     n = induced.source.coefficients.group.order
-    orders = induced.target.boundaries.array.diagonal()[:, None]
-    return _congruence_quotient(n // orders * induced.matrix.array, n,
-                                induced.source.boundaries.array)
+    scaled = [[n // diagonal[i] * x for x in row] for i, (diagonal, row) in
+              enumerate(zip(induced.target.boundaries._r, induced.matrix._r))]
+    return _congruence_quotient(scaled, n, induced.source.boundaries._r)
 
 
 def _shapiro_kernel(lattice: GLattice, rows, orbits) -> FinAbGroup:
@@ -512,8 +497,7 @@ def _shapiro_kernel(lattice: GLattice, rows, orbits) -> FinAbGroup:
     _check_limits(lattice.group, lattice.rank, raisable=False)
     _, paths, d1 = _cayley_complex(lattice)
     r1 = _h2_result(lattice, d1)
-    tests = _stack([_matmul(rows[orbit[:1], :], paths[h])
-                    for orbit, stab in orbits
-                    for h in stab.generating_set], d1.shape[1])
-    return _congruence_quotient(_matmul(tests, r1.cocycles.array),
-                                lattice.group.order, r1.boundaries.array)
+    tests = [test for orbit, stab in orbits for h in stab.generating_set
+             for test in _matmul([rows[orbit[0]]], paths[h])]
+    return _congruence_quotient(_matmul(tests, r1.cocycles._r),
+                                lattice.group.order, r1.boundaries._r)

@@ -63,6 +63,10 @@ def _require(condition, message):
         raise DatumError(message)
 
 
+# the one ValueError json raises besides bad syntax and text that is not UTF-8
+HUGE_INT = "an integer has more digits than Python converts, far above every size limit"
+
+
 def _as_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise DatumError(f"{what} must be an integer, got {value!r}")
@@ -226,8 +230,10 @@ def load_datum(path, *, normalize_rays=False, require_valid=True,
         raise DatumError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise DatumError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, a huge int
+    except (UnicodeError, RecursionError) as exc:  # not UTF-8, too deep
         raise DatumError(f"{path}: {exc}") from None
+    except ValueError:
+        raise DatumError(f"{path}: {HUGE_INT}") from None
     try:
         datum = _build_datum(doc, normalize_rays=normalize_rays, limits=limits)
     except DatumError as exc:

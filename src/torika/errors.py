@@ -22,7 +22,14 @@ class IncompatibleModulesError(TorikaError):
 
 
 class ResourceLimitError(TorikaError):
-    """A computation would exceed the configured size limits."""
+    """A computation would exceed the configured size limits.  `refusal`
+    says what is too large; `limit` ("order" or "rank") names the limit
+    that the caller can raise, and the message how, or is None."""
+
+    def __init__(self, refusal, limit=None):
+        self.refusal, self.limit = refusal, limit
+        super().__init__(refusal + (f"; raise it with {limit}_limit= or torika "
+                                    f"cohomology --{limit}-limit" if limit else ""))
 
 
 class NotInFanError(TorikaError):

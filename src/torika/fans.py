@@ -19,9 +19,7 @@ from operator import index, mul
 from .cohomology import GLattice, trivial_lattice
 from .errors import FanValidationError, NotInFanError
 from .groups import FiniteGroup, Subgroup, trivial_group
-from .linalg import _content, _eye, _kernel_array, _smith
-
-import numpy as np
+from .linalg import _content, _eye, _kernel_array, _matmul, _smith, _transpose
 
 
 @dataclass(frozen=True)
@@ -86,24 +84,20 @@ class ConeForm:
     @classmethod
     def of(cls, generators, n):
         k = len(generators)
-        d, u, v, _ = _smith(np.array(generators, dtype=object).reshape(k, n),
-                            left=_eye(k), want_v=True)
+        d, u, v, _ = _smith(generators, left=_eye(k), cols=n)
         if len(d) < k:
             return cls(False, False)
-        dual = v[:, :k] * np.array([d[-1] // x for x in d], dtype=object) @ u
-        return cls(True, all(x == 1 for x in d), tuple(map(tuple, v[:, k:].T.tolist())),
-                   tuple(map(tuple, dual.T.tolist())))
+        dual = _matmul([[x * (d[-1] // y) for x, y in zip(row, d)] for row in v], u)
+        return cls(True, all(x == 1 for x in d), tuple(zip(*[row[k:] for row in v])),
+                   tuple(zip(*dual)))
 
-    def contains(self, points):
-        """Which rows p of an object array lie in the cone: those in G's
-        span (p v[:, k:] = 0) with nonnegative coordinates d_k c = p L."""
+    def contains(self, point):
+        """Whether the point p lies in the cone: in G's span (p v[:, k:] = 0)
+        with nonnegative coordinates d_k c = p L."""
         if not self.independent:
             raise ValueError("membership needs linearly independent generators")
-        inside = np.ones(len(points), dtype=bool)
-        for vectors, keep in ((self.normals, np.equal), (self.duals, np.greater_equal)):
-            if vectors:
-                inside &= keep(points.dot(np.array(vectors, dtype=object).T), 0).all(axis=1)
-        return inside
+        return (all(not sum(map(mul, point, m)) for m in self.normals)
+                and all(sum(map(mul, point, f)) >= 0 for f in self.duals))
 
 
 def _cached(method):
@@ -252,31 +246,28 @@ class ValidationReport:
         return "\n".join(self.problems)
 
 
-def _points(rows, rank):
-    return np.array(rows, dtype=object).reshape(len(rows), rank)
-
-
 def cone_contains_point(fan: GFan, cone, point) -> bool:
     """Exact membership of an integer point in a cone of the fan."""
-    return bool(fan.cone_form(_as_cone(cone)).contains(_points([point], fan.rank))[0])
+    if len(point) != fan.rank:
+        raise ValueError(f"point of length {len(point)} in a fan of rank {fan.rank}")
+    return fan.cone_form(_as_cone(cone)).contains(point)
 
 
 def _extreme_directions(b):
-    """Extreme rays of {t : b @ t >= 0} for a full-column-rank integer b, by
-    brute force over (q-1)-subsets of the constraints: the last resort of
-    _meet_in_common_face, for pairs no functional separates."""
-    m, q = b.shape
+    """Extreme rays of {t : b @ t >= 0} for a full-column-rank integer row
+    list b, by brute force over (q-1)-subsets of the constraints: the last
+    resort of _meet_in_common_face, for pairs no functional separates."""
+    q = len(b[0])
     if q == 0:
         return []
     seen = set()
     out = []
-    for subset in combinations(range(m), q - 1):
-        sub = b[list(subset), :] if subset else np.empty((0, q), dtype=object)
-        null = _kernel_array(sub)
-        if null.shape[1] != 1:
+    for subset in combinations(range(len(b)), q - 1):
+        null = _kernel_array([b[i] for i in subset], q)
+        if len(null[0]) != 1:
             continue
-        d = list(primitive_vector(null[:, 0]))
-        img = b.dot(np.array(d, dtype=object)).tolist()
+        d = list(primitive_vector(row[0] for row in null))
+        img = [sum(map(mul, row, d)) for row in b]
         if all(x <= 0 for x in img):  # only -d can then meet b @ t >= 0
             d, img = [-x for x in d], [-x for x in img]
         if all(x >= 0 for x in img) and any(img) and tuple(d) not in seen:
@@ -327,8 +318,9 @@ def _meet_in_common_face(fan: GFan, c1: Cone, c2: Cone) -> bool:
     own1 = [fan.rays[i].generator for i in c1.rays if i not in s2]
     own2 = [tuple(-x for x in fan.rays[i].generator) for i in c2.rays if i not in s1]
     common = [fan.rays[i].generator for i in c1.rays if i in s2]
-    system = np.array(own1 + own2 + common, dtype=object).reshape(-1, fan.rank).T
-    return not _extreme_directions(_kernel_array(system)[:len(own1) + len(own2), :])
+    vectors = own1 + own2 + common
+    kernel = _kernel_array(_transpose(vectors, fan.rank), len(vectors))
+    return not _extreme_directions(kernel[:len(own1) + len(own2)])
 
 
 def validate_fan(fan: GFan) -> ValidationReport:
@@ -506,16 +498,14 @@ def ray_orbits(fan: GFan):
 def support_lattice_points(fan: GFan, bound: int):
     """All integer points of the fan's support with max-norm at most bound.
 
-    The box is tested against each maximal cone's ConeForm at once.
+    Each point of the box is tested against the maximal cones' ConeForms.
     """
     fan.require_valid()
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    box = _points(list(product(range(-bound, bound + 1), repeat=fan.rank)), fan.rank)
-    inside = np.zeros(len(box), dtype=bool)
-    for cone in fan.maximal_cones():
-        inside |= fan.cone_form(cone).contains(box)
-    return tuple(map(tuple, box[inside].tolist()))  # the box is in sorted order
+    forms = [fan.cone_form(cone) for cone in fan.maximal_cones()]
+    box = product(range(-bound, bound + 1), repeat=fan.rank)
+    return tuple(p for p in box if any(form.contains(p) for form in forms))  # sorted
 
 
 def primitive_vector(vec):

@@ -22,9 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations, product
-from operator import index as _index
-
-import numpy as np
+from operator import index as _index, itemgetter
 
 from .errors import MalformedGroupError, MalformedSubgroupError
 
@@ -52,27 +50,27 @@ class FiniteGroup:
             raise MalformedGroupError("a group needs at least one element")
         if len(table) != n or any(len(row) != n for row in table):
             raise MalformedGroupError(f"multiplication table must be {n}x{n}")
-        t = np.array(table)
-        wrong = t[(t < 0) | (t >= n)]
-        if wrong.size:
-            raise MalformedGroupError(f"table entry {wrong[0]} out of range")
-        t, x = t.astype(np.intp), np.arange(n)
-        units = np.flatnonzero((t == x).all(axis=1) & (t.T == x).all(axis=1))
-        if not units.size:
+        if min(map(min, table)) < 0 or max(map(max, table)) >= n:
+            wrong = next(x for row in table for x in row if not 0 <= x < n)
+            raise MalformedGroupError(f"table entry {wrong} out of range")
+        x = tuple(range(n))
+        identity = next((e for e in x if table[e] == x == tuple(row[e] for row in table)), None)
+        if identity is None:
             raise MalformedGroupError("no two-sided identity element")
-        identity = int(units[0])
-        both = (t == identity) & (t.T == identity)
-        lost = np.flatnonzero(~both.any(axis=1))
-        if lost.size:
-            raise MalformedGroupError(f"element {lost[0]} has no inverse")
+        inverses = tuple(next((b for b, ab in enumerate(row) if ab == identity == table[b][a]),
+                              None) for a, row in enumerate(table))
+        if None in inverses:
+            raise MalformedGroupError(f"element {inverses.index(None)} has no inverse")
         object.__setattr__(self, "identity", identity)
         gens = _greedy_generators(self, range(n))
         for s in gens:  # Light's test: (ab)s = a(bs)
-            wrong = np.argwhere(t[:, s][t] != t[:, t[:, s]])
-            if wrong.size:
-                raise MalformedGroupError(
-                    "associativity fails at ({}, {}, {})".format(*wrong[0], s))
-        object.__setattr__(self, "_inverses", tuple(both.argmax(axis=1).tolist()))
+            column = [row[s] for row in table]
+            right = itemgetter(*column)  # a(bs) for every b, from the row of a
+            for a, row in enumerate(table):
+                if itemgetter(*row)(column) != right(row):
+                    b = next(b for b in x if column[row[b]] != row[column[b]])
+                    raise MalformedGroupError(f"associativity fails at ({a}, {b}, {s})")
+        object.__setattr__(self, "_inverses", inverses)
         object.__setattr__(self, "generating_set", gens)
 
     def mul(self, a, b):

@@ -48,7 +48,7 @@ def brauer_kernel(fan: GFan) -> FinAbGroup:
         raise ValueError("the Brauer kernel expects a pure divisorial fan")
     if not is_smooth(fan):
         raise ValueError("the Brauer kernel expects a smooth fan")
-    return _shapiro_kernel(character_lattice(fan), ray_matrix(fan).array,
+    return _shapiro_kernel(character_lattice(fan), ray_matrix(fan)._r,
                            ray_orbits(fan))
 
 
@@ -86,6 +86,13 @@ def _stage(name, thunk):
         raise
 
 
+def _truncation_invariants(fan: GFan):
+    """(truncation, class group, Brauer kernel) of a valid fan, as stages."""
+    working = _stage("truncation", lambda: pure_divisorial_truncation(fan))
+    return (working, _stage("class group", lambda: class_group(working)),
+            _stage("Brauer kernel", lambda: brauer_kernel(working)))
+
+
 def full_report(fan: GFan, bound: int = 5) -> InvariantReport:
     """Assemble every invariant of the fan into one report."""
     if bound < 0:
@@ -98,9 +105,7 @@ def full_report(fan: GFan, bound: int = 5) -> InvariantReport:
         (len(orbit), stab.order)
         for orbit, stab in _stage("ray orbits", lambda: ray_orbits(fan))
     )
-    working = _stage("truncation", lambda: pure_divisorial_truncation(fan))
-    cls = _stage("class group", lambda: class_group(working))
-    brauer = _stage("Brauer kernel", lambda: brauer_kernel(working))
+    working, cls, brauer = _truncation_invariants(fan)
     tropical = _stage("tropical check",
                       lambda: tropical_int_check(working, bound).passed)
     return InvariantReport(

@@ -1,34 +1,47 @@
 """Exact integer linear algebra over Z.
 
 All arithmetic is done with Python's arbitrary-precision integers, so
-fixed-width overflow cannot occur.  numpy arrays with dtype=object are
-the container at every boundary: the public IntMatrix wraps one such
-array, read-only, and the routines here take and return it without
-conversion.  One elimination, the Smith form (`_smith`, on lists of
-Python int rows), does every job: invariant factors, exact solves
-(`_solve`), unimodularity, and kernels.  It returns the invariant
-factors, not the reduced matrix S, which only `smith_normal_form`
-builds.  With u @ a.T @ v = S in Smith form, the rows of u past the
-rank are a basis of ker a, saturated as u is unimodular (Cohen, GTM
-138, section 2.4), so the kernel needs only the row operations.  The elimination picks the smallest available
-pivot, which keeps intermediate entries modest on the structured
-matrices produced elsewhere in the package.
+fixed-width overflow cannot occur, and only the standard library is
+used: IntMatrix wraps one tuple of row tuples, and the routines here
+take and return lists of Python int rows, told the width of any that
+may have no rows.  numpy is needed only by `IntMatrix.to_array`.  One
+elimination, the Smith form (`_smith`), does every job: invariant
+factors, exact solves (`_solve`), unimodularity, and kernels.  It
+returns the invariant factors, not the reduced matrix S, which only
+`smith_normal_form` builds.  With u @ a.T @ v = S in Smith form, the
+rows of u past the rank are a basis of ker a, saturated as u is
+unimodular (Cohen, GTM 138, section 2.4), so the kernel needs only the
+row operations.  The elimination picks the smallest available pivot,
+which keeps intermediate entries modest on the structured matrices
+produced elsewhere in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import index, neg
-
-import numpy as np
+from operator import add, index, mul, neg
 
 
 def _eye(n):
-    a = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        a[i, i] = 1
-    return a
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _diag(entries):
+    """The square diagonal matrix of `entries`, as a row list."""
+    return [[x if i == j else 0 for j in range(len(entries))]
+            for i, x in enumerate(entries)]
+
+
+def _transpose(a, cols):
+    """The transpose of the row list `a`, which is `cols` wide."""
+    return list(zip(*a)) if a else [()] * cols
+
+
+def _matmul(a, b):
+    """a @ b on row lists; b has a row unless a's rows are empty."""
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
 
 
 def _xgcd(a, b):
@@ -47,44 +60,39 @@ def _xgcd(a, b):
 class IntMatrix:
     """Immutable integer matrix with exact entries.
 
-    The entries are Python ints in one read-only object array, the same
-    container every routine of this module works on: `array` lends it
-    out as it is and `to_array` returns a writable copy.  Matrices with
-    zero rows or zero columns are legal and behave like any other matrix.
+    The entries are Python ints in one tuple of row tuples, with the
+    column count beside it, so matrices with zero rows or zero columns
+    behave like any other.  `to_array` returns a numpy object array.
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ("_r", "_n")
 
     def __init__(self, rows, cols=None):
-        data = [list(map(index, row)) for row in rows]
-        cols = None if cols is None else index(cols)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
+        self._r = tuple(tuple(map(index, row)) for row in rows)
+        self._n = index(0 if cols is None else cols)
+        if self._r:
+            width = len(self._r[0])
+            if any(len(row) != width for row in self._r):
                 raise ValueError("rows have unequal lengths")
-            if cols is not None and cols != width:
+            if cols is not None and self._n != width:
                 raise ValueError("explicit column count contradicts row data")
-            a = np.array(data, dtype=object)
-        else:
-            a = np.empty((0, 0 if cols is None else cols), dtype=object)
-        a.flags.writeable = False
-        self._a = a
+            self._n = width
 
     @classmethod
-    def _adopt(cls, a):
-        """Wrap an object array of Python ints that nothing will write to."""
-        a.flags.writeable = False
+    def _adopt(cls, rows, cols):
+        """Wrap rows of Python ints, `cols` wide, without checking them."""
         m = object.__new__(cls)
-        m._a = a
+        m._r = tuple(map(tuple, rows))
+        m._n = cols
         return m
 
     @classmethod
     def identity(cls, n):
-        return cls._adopt(_eye(n))
+        return cls._adopt(_eye(n), n)
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls._adopt(np.zeros((rows, cols), dtype=object))
+        return cls._adopt([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -105,69 +113,66 @@ class IntMatrix:
             raise ValueError(f"from_array needs a 2-D array, got shape {a.shape}")
         return cls(a.tolist(), cols=a.shape[1])
 
-    @property
-    def array(self):
-        """The entries as a read-only object array; no copy is made."""
-        return self._a
-
     def to_array(self):
-        return self._a.copy()
+        import numpy as np
+        return np.array(self._r, dtype=object).reshape(self.shape)
 
     @property
     def rows(self):
-        return self._a.shape[0]
+        return len(self._r)
 
     @property
     def cols(self):
-        return self._a.shape[1]
+        return self._n
 
     @property
     def shape(self):
-        return self._a.shape
+        return len(self._r), self._n
 
     @property
     def entries(self):
         """All entries, row-major."""
-        return tuple(self._a.ravel().tolist())
+        return tuple(x for row in self._r for x in row)
 
     def row(self, i):
-        return tuple(self._a[i].tolist())
+        return self._r[i]
 
     def column(self, j):
-        return tuple(self._a[:, j].tolist())
+        return tuple(row[j] for row in self._r)
 
     def __getitem__(self, key):
         i, j = key
-        return self._a[i, j]
+        return self._r[i][j]
 
     def to_rows(self):
-        return self._a.tolist()
+        return [list(row) for row in self._r]
 
     def transpose(self):
-        return IntMatrix._adopt(self._a.T)
+        return IntMatrix._adopt(_transpose(self._r, self._n), self.rows)
 
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch: {self.shape} @ {other.shape}"
-            )
-        return IntMatrix._adopt(_matmul(self._a, other._a))
+            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
+        if not other.rows:
+            return IntMatrix.zeros(self.rows, other.cols)
+        return IntMatrix._adopt(_matmul(self._r, other._r), other.cols)
 
     def apply(self, vector):
         """Matrix times column vector, returned as a tuple."""
-        vec = np.array([index(x) for x in vector], dtype=object)
+        vec = [index(x) for x in vector]
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} against {self.shape}")
-        return tuple(self._a.dot(vec).tolist())
+        return tuple(sum(map(mul, row, vec)) for row in self._r)
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch in addition")
-        return IntMatrix._adopt(self._a + other._a)
+        return IntMatrix._adopt([map(add, a, b) for a, b in zip(self._r, other._r)],
+                                self._n)
 
     def __sub__(self, other):
         if not isinstance(other, IntMatrix):
@@ -175,17 +180,13 @@ class IntMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return IntMatrix._adopt(-self._a)
+        return IntMatrix._adopt([map(neg, row) for row in self._r], self._n)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self._a.shape == other._a.shape
-            and self._a.tolist() == other._a.tolist()
-        )
+        return isinstance(other, IntMatrix) and (self._r, self._n) == (other._r, other._n)
 
     def __hash__(self):
-        return hash((self.shape, self.entries))
+        return hash((self._r, self._n))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -258,9 +259,8 @@ class FinAbGroup:
 
     def direct_sum(self, other):
         """Canonical form of the direct sum, recombining invariant factors."""
-        torsion = np.diag(np.array(self.torsion + other.torsion, dtype=object))
         return FinAbGroup(self.free_rank + other.free_rank,
-                          _cokernel_array(torsion).torsion)
+                          _cokernel_array(_diag(self.torsion + other.torsion)).torsion)
 
     def __str__(self):
         parts = []
@@ -291,23 +291,23 @@ def _find_pivot(s, k):
     return where
 
 
-def _smith(a, left=None, want_v=False):
-    """Diagonalize a copy of `a` by unimodular row/column operations.
+def _smith(a, left=None, cols=None):
+    """Diagonalize a copy of the row list `a` by unimodular row/column operations.
 
     Returns (d, ul, v, w) with u @ a @ v == S and w @ v == 1 for a
     unimodular u that is never formed: d lists the nonzero diagonal
     entries of S, the invariant factors, positive and each dividing the
     next, so len(d) is the rank.  ul is u @ left, the row operations
     applied to a copy of `left` (m rows; the identity gives u itself),
-    and None without it.  v and w are None unless want_v.  The
-    eliminations run on lists of Python int rows, which the small
-    matrices met here reduce faster than object-array slices.
+    and None without it.  v and w are None unless `cols`, the width of
+    `a` (which may have no rows), is given.  All are Python int row lists.
     """
-    m, n = a.shape
-    s = a.tolist()
-    u = None if left is None else np.asarray(left, dtype=object).tolist()
-    v = _eye(n).tolist() if want_v else None
-    w = _eye(n).tolist() if want_v else None
+    m = len(a)
+    n = len(a[0]) if a else 0
+    s = [list(row) for row in a]
+    u = None if left is None else [list(row) for row in left]
+    v = None if cols is None else _eye(cols)
+    w = None if cols is None else _eye(cols)
     limit = min(m, n)
     k = 0
     while k < limit:
@@ -383,14 +383,7 @@ def _smith(a, left=None, want_v=False):
                               [d0 // g * b - d1 // g * a for a, b in zip(u[i], u[j])])
             s[i][i] = g
             s[j][j] = lcm
-    return ([s[i][i] for i in range(rank)],
-            None if u is None else _rows_array(u, np.shape(left)[1]),
-            None if v is None else _rows_array(v, n), None if w is None else _rows_array(w, n))
-
-
-def _rows_array(rows, cols):
-    """An object array of `rows` (lists of Python ints), `cols` wide."""
-    return np.array(rows, dtype=object).reshape(len(rows), cols)
+    return [s[i][i] for i in range(rank)], u, v, w
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -398,12 +391,12 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     Returns SmithDecomposition(u, s, v) satisfying u @ m @ v == s.
     """
-    d, u, v, _ = _smith(m.array, left=_eye(m.rows), want_v=True)
-    s = np.zeros(m.shape, dtype=object)
+    d, u, v, _ = _smith(m._r, left=_eye(m.rows), cols=m.cols)
+    s = [[0] * m.cols for _ in range(m.rows)]
     for i, x in enumerate(d):
-        s[i, i] = x
-    return SmithDecomposition(u=IntMatrix._adopt(u), s=IntMatrix._adopt(s),
-                              v=IntMatrix._adopt(v))
+        s[i][i] = x
+    return SmithDecomposition(u=IntMatrix._adopt(u, m.rows), s=IntMatrix._adopt(s, m.cols),
+                              v=IntMatrix._adopt(v, m.cols))
 
 
 def _nonredundant_rows(a):
@@ -414,23 +407,21 @@ def _nonredundant_rows(a):
     """
     seen = set()
     keep = []
-    for i, row in enumerate(a.tolist()):
+    for row in a:
         t = tuple(row)
         if t in seen or not any(t):
             continue
         seen.add(t)
         seen.add(tuple(map(neg, t)))
-        keep.append(i)
-    if len(keep) == a.shape[0]:
-        return a
-    return a[keep, :]
+        keep.append(row)
+    return a if len(keep) == len(a) else keep
 
 
-def _kernel_array(a):
-    """Basis of {x : a @ x == 0} as the columns of an (n x k) array: the
-    rows past the rank of u in u @ a.T @ v = S, v never formed."""
-    d, u, _, _ = _smith(a.T, left=_eye(a.shape[1]))
-    return u[len(d):].T
+def _kernel_array(a, cols):
+    """Basis of {x : a @ x == 0}, `a` `cols` wide, as the columns of a row
+    list: the rows past the rank of u in u @ a.T @ v = S, v never formed."""
+    d, u, _, _ = _smith(_transpose(a, cols), left=_eye(cols))
+    return _transpose(u[len(d):], cols)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -439,35 +430,36 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     The kernel of an integer matrix is automatically saturated, so the
     returned columns extend to a basis of Z^cols.
     """
-    return IntMatrix._adopt(_kernel_array(m.array))
+    k = _kernel_array(m._r, m.cols)
+    return IntMatrix._adopt(k, len(k[0]) if k else 0)
 
 
 def _cokernel_array(a) -> FinAbGroup:
     d = _smith(a)[0]
-    return FinAbGroup(free_rank=a.shape[0] - len(d), torsion=tuple(x for x in d if x > 1))
+    return FinAbGroup(free_rank=len(a) - len(d), torsion=tuple(x for x in d if x > 1))
 
 
 def cokernel(m: IntMatrix) -> FinAbGroup:
     """Z^rows modulo the column span of m, in invariant-factor form."""
-    return _cokernel_array(m.array)
+    return _cokernel_array(m._r)
 
 
-def _solve(a, b):
+def _solve(a, b, cols):
     """(rank of a, one integer Y with a @ Y == b, or None when there is none).
 
-    With S = u @ a @ v in Smith form, a @ Y == b reads S @ Z == u @ b for
-    Y = v @ Z: each row of u @ b must be divisible by its diagonal entry
-    of S, and zero past the rank (Cohen, GTM 138, section 2.4).  The row
-    operations act on b directly, so the m x m matrix u is never formed.
+    With S = u @ a @ v in Smith form (a `cols` wide), a @ Y == b reads
+    S @ Z == u @ b for Y = v @ Z: each row of u @ b must be divisible by
+    its diagonal entry of S, and zero past the rank (Cohen, GTM 138,
+    section 2.4).  The row operations act on b, so u is never formed.
     """
-    d, c, v, _ = _smith(a, left=b, want_v=True)
+    d, c, v, _ = _smith(a, left=b, cols=cols)
     rank = len(d)
-    d = np.array(d, dtype=object).reshape(rank, 1)
-    if np.count_nonzero(c[rank:]) or np.count_nonzero(c[:rank] % d):
+    if any(any(row) for row in c[rank:]) or any(
+            x % p for row, p in zip(c, d) for x in row):
         return rank, None
-    z = np.zeros((a.shape[1], b.shape[1]), dtype=object)
-    z[:rank] = c[:rank] // d
-    return rank, _matmul(v, z)
+    width = len(b[0]) if b else 0
+    z = [[x // p for x in row] for row, p in zip(c, d)]
+    return rank, _matmul(v, z + [[0] * width] * (cols - rank))
 
 
 def solve_integer(m: IntMatrix, b):
@@ -475,14 +467,10 @@ def solve_integer(m: IntMatrix, b):
     vec = [index(x) for x in b]
     if len(vec) != m.rows:
         raise ValueError(f"right-hand side of length {len(vec)} against {m.shape}")
-    _, y = _solve(m.array, np.array(vec, dtype=object).reshape(-1, 1))
-    return None if y is None else tuple(y[:, 0].tolist())
-
-
-def _matmul(a, b):
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=object)
-    return a @ b
+    if not vec:  # no equations: the zero vector solves them
+        return (0,) * m.cols
+    _, y = _solve(m._r, [[x] for x in vec], m.cols)
+    return None if y is None else tuple(row[0] for row in y)
 
 
 def _coords_in_basis(basis, targets):
@@ -490,12 +478,14 @@ def _coords_in_basis(basis, targets):
 
     `basis` (m x k) must have independent columns and every column of
     `targets` (m x t) must lie in the integer column lattice of `basis`;
-    both conditions are verified.  Returns Y as a (k x t) array.
+    both conditions are verified.  Returns Y as a row list; a basis with
+    no rows has no columns either.
     """
-    if basis.shape[0] != targets.shape[0]:
+    if len(basis) != len(targets):
         raise ValueError("basis and targets have different heights")
-    rank, y = _solve(basis, targets)
-    if rank < basis.shape[1]:
+    k = len(basis[0]) if basis else 0
+    rank, y = _solve(basis, targets, k)
+    if rank < k:
         raise ValueError("the basis columns are linearly dependent")
     if y is None:
         raise ValueError("a target lies outside the integer column lattice")
@@ -504,7 +494,7 @@ def _coords_in_basis(basis, targets):
 
 def _is_unimodular(m: IntMatrix) -> bool:
     """Square, with every Smith diagonal entry 1."""
-    return m.rows == m.cols and _smith(m.array)[0] == [1] * m.rows
+    return m.rows == m.cols and _smith(m._r)[0] == [1] * m.rows
 
 
 def _content(vector) -> int:

@@ -13,16 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cohomology import (GLattice, GLatticeMap, coset_permutations,
                          permutation_lattice)
 from .errors import (IncompatibleModulesError, MalformedSubgroupError,
                      NotDescendableError)
-from .fans import (GFan, _checked_cone, _points, _valid_subfan, is_smooth_cone,
-                   ray_orbits)
+from .fans import GFan, _checked_cone, _valid_subfan, is_smooth_cone, ray_orbits
 from .groups import FiniteGroup, Subgroup
-from .linalg import IntMatrix, _coords_in_basis, _matmul
+from .linalg import IntMatrix, _coords_in_basis, _matmul, _transpose
 
 
 @dataclass(frozen=True)
@@ -43,9 +40,9 @@ class FanMorphism:
         GLatticeMap(self.source.action, self.target.action, self.matrix)
         forms = [self.target.cone_form(c) for c in self.target.maximal_cones()]
         for cone in self.source.cones:
-            images = _points([self.matrix.apply(self.source.rays[i].generator)
-                              for i in cone.rays], self.target.rank)
-            if not any(form.contains(images).all() for form in forms):
+            images = [self.matrix.apply(self.source.rays[i].generator)
+                      for i in cone.rays]
+            if not any(all(map(form.contains, images)) for form in forms):
                 raise IncompatibleModulesError(
                     f"source cone {cone.rays} does not map into any target cone")
 
@@ -103,10 +100,11 @@ def affine_structure(fan: GFan, cone) -> AffineStructure:
     factors = [stab for orbit, stab in ray_orbits(fan) if orbit[0] in cone]
     # units: characters vanishing on the cone, with the dual action; the
     # cone form's normals are a basis of them
-    basis = np.array(fan.cone_form(cone).normals, dtype=object).reshape(-1, fan.rank).T
+    normals = fan.cone_form(cone).normals
+    basis = _transpose(normals, fan.rank)
     dual = fan.action.dual()
-    units = GLattice(fan.group, basis.shape[1], tuple(
-        IntMatrix.from_array(_coords_in_basis(basis, _matmul(dual.act(g).array, basis)))
+    units = GLattice(fan.group, len(normals), tuple(
+        IntMatrix(_coords_in_basis(basis, _matmul(dual.act(g)._r, basis)), cols=len(normals))
         for g in fan.group.elements()))
     # divisor module: permutation lattice on the cone's rays
     index_of = {ray: pos for pos, ray in enumerate(cone.rays)}

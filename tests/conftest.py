@@ -204,7 +204,7 @@ def cyclic_lattice(rng: random.Random, group: FiniteGroup, rank: int) -> GLattic
         at += b
     u = rand_unimodular(rng, rank)
     from torika.linalg import _coords_in_basis, _eye
-    u_inv = IntMatrix.from_array(_coords_in_basis(u.array, _eye(u.rows)))
+    u_inv = IntMatrix(_coords_in_basis(u.to_rows(), _eye(u.rows)))
     gen_m = _conjugate(IntMatrix(gen), u, u_inv)
     action = [IntMatrix.identity(rank)]
     for _ in range(1, n):

@@ -5,13 +5,31 @@ The package reads kernels, ranks and unimodularity off one Smith form
 it, so a test that checks the package against them checks two routes:
 a unimodular column reduction gives kernels and ranks, fraction-free
 (Bareiss) elimination gives determinants, and gcds of minors give the
-invariant factors.
+invariant factors.  They work on numpy object arrays, which the package
+itself no longer uses: `as_array`, `eye_array` and `array_matmul` carry
+row lists and matrices over.
 """
 
 import math
 from itertools import combinations
 
-from torika.linalg import IntMatrix, _eye
+import numpy as np
+
+from torika.linalg import IntMatrix
+
+
+def as_array(rows, cols):
+    """A row list of Python ints, `cols` wide, as an object array."""
+    return np.array(rows, dtype=object).reshape(len(rows), cols)
+
+
+def eye_array(n):
+    return IntMatrix.identity(n).to_array()
+
+
+def array_matmul(a, b):
+    """a @ b for object arrays, with any dimension zero."""
+    return (IntMatrix.from_array(a) @ IntMatrix.from_array(b)).to_array()
 
 
 def column_kernel(a):
@@ -22,7 +40,7 @@ def column_kernel(a):
     """
     m, n = a.shape
     ct = a.T.copy()
-    vt = _eye(n)
+    vt = eye_array(n)
     active = list(range(n))
     for i in range(m):
         while True:

@@ -41,11 +41,12 @@ def picard_lattice(fan):
         return None, "rays do not span N"
     if any(d > 1 for d in diag):
         return None, "Pic has torsion"
-    u = smith.u.array
-    project, section = u[fan.rank:], _coords_in_basis(u, _eye(len(u)))[:, fan.rank:]
+    u = smith.u.to_rows()
+    project = IntMatrix(u[fan.rank:], cols=len(u))
+    section = IntMatrix([row[fan.rank:] for row in _coords_in_basis(u, _eye(len(u)))],
+                        cols=len(u) - fan.rank)
     return GLattice(fan.group, len(fan.rays) - fan.rank, tuple(
-        IntMatrix.from_array(project.dot(p.array).dot(section))
-        for p in dm.target.action)), None
+        project @ p @ section for p in dm.target.action)), None
 
 
 def sansuc_h1(pic):
@@ -72,7 +73,7 @@ def _character_fan(rng, group, stabilized):
             lattice.act(h).apply(free) for h in sub.elements)))))
     rays = sorted({lattice.act(g).apply(v) for v in vectors for g in group.elements()})
     u = rand_unimodular(rng, n + 1)
-    u_inv = IntMatrix.from_array(_coords_in_basis(u.array, _eye(u.rows)))
+    u_inv = IntMatrix(_coords_in_basis(u.to_rows(), _eye(u.rows)))
     return GFan(rank=n + 1, rays=tuple(u.apply(r) for r in rays),
                 cones=tuple([()] + [(i,) for i in range(len(rays))]),
                 action=GLattice(group, n + 1, tuple(

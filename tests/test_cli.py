@@ -1,7 +1,11 @@
 """Command line interface, driven through main() directly."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -11,12 +15,14 @@ from torika.cohomology import cohomology, trivial_lattice
 from torika.datum import datum_from_fan, load_datum, serialize_datum
 from torika.errors import ResourceLimitError
 from torika.groups import group_preset
+from torika.invariants import full_report
 from torika.structure import pure_divisorial_truncation, rho_map
 
 from conftest import FIXTURE_NAMES, fixture_path
 from test_datum import UNDECODABLE
 
 DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -227,7 +233,9 @@ def test_cohomology_lattice_without_group(capsys):
     pytest.param('{"rank": 1, "caf\udce9": null}', "codec can't encode character '\\udce9'",
                  id="not_utf8"),
     pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="deep"),
-    pytest.param('{"rank": ' + "9" * 5000 + "}", "Exceeds the limit", id="huge_int"),
+    pytest.param('{"rank": ' + "9" * 5000 + "}",
+                 "--lattice: an integer has more digits than Python converts",
+                 id="huge_int"),
 ])
 def test_cohomology_bad_inline_lattice_is_one_located_line(capsys, spec, says):
     code, out, err = run(capsys, "cohomology", "--splitting-group", "C2",
@@ -239,9 +247,8 @@ def test_cohomology_bad_inline_lattice_is_one_located_line(capsys, spec, says):
 
 
 def test_oversized_inline_lattice_is_refused_before_it_is_built(capsys):
-    refusal = ("torika: lattice rank 400 exceeds the limit 16 (d^1 would be "
-               "400x400); raise it with rank_limit= or torika cohomology "
-               "--rank-limit\n")
+    refusal = ("torika: --lattice: lattice rank 400 exceeds the limit 16 (d^1 would be "
+               "400x400); raise it with --rank-limit\n")
     for degree in ("1", "2"):
         start = time.perf_counter()
         code, out, err = run(capsys, "cohomology", "--degree", degree,
@@ -254,7 +261,8 @@ def test_oversized_inline_lattice_is_refused_before_it_is_built(capsys):
         cohomology(lattice, 1)
     code, out, err = run(capsys, "cohomology", "--degree", "1",
                          "--splitting-group", "S3", "--lattice", '{"rank": 17}')
-    assert (code, out, err) == (1, "", f"torika: {info.value}\n")
+    assert (code, out, err) == (
+        1, "", f"torika: --lattice: {info.value.refusal}; raise it with --rank-limit\n")
     # degree 0 builds no d^1 and takes no guard
     code, out, _ = run(capsys, "cohomology", "--degree", "0",
                        "--splitting-group", "C2", "--lattice", '{"rank": 17}')
@@ -269,9 +277,8 @@ def test_oversized_datum_is_refused_before_its_action_is_built(capsys, tmp_path)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"group": "C2", "lattice_rank": 17,
                                 "action": [eye, shear], "rays": [], "max_cones": []}))
-    refusal = ("torika: lattice rank 17 exceeds the limit 16 (d^1 would be "
-               "17x17); raise it with rank_limit= or torika cohomology "
-               "--rank-limit\n")
+    refusal = (f"torika: {path}: lattice rank 17 exceeds the limit 16 (d^1 would be "
+               "17x17); raise it with --rank-limit\n")
     for degree in ("1", "2"):
         assert run(capsys, "cohomology", "--degree", degree, str(path)) == (1, "", refusal)
     # every input is read before any H^n is printed
@@ -280,6 +287,30 @@ def test_oversized_datum_is_refused_before_its_action_is_built(capsys, tmp_path)
     # degree 0 takes no guard, so the action is built and refused
     assert run(capsys, "cohomology", "--degree", "0", str(path)) == (
         1, "", f"torika: {path}: field 'action': action is not a homomorphism at (1, 1)\n")
+
+
+C13 = {"order": 13, "table": [[(i + j) % 13 for j in range(13)] for i in range(13)]}
+
+
+@pytest.mark.parametrize("argv, group, rank, refusal", [
+    (["invariants"], "C2", 17,
+     "Brauer kernel: lattice rank 17 exceeds the limit 16 (d^1 would be 17x17)"),
+    (["report", "--format", "json"], C13, 1,
+     "Brauer kernel: group order 13 exceeds the limit 12 (d^1 would be 1x1)"),
+    (["cohomology"], "C2", 17,
+     "lattice rank 17 exceeds the limit 16 (d^1 would be 17x17); raise it with --rank-limit"),
+    (["cohomology", "--degree", "1"], C13, 1,
+     "group order 13 exceeds the limit 12 (d^1 would be 1x1); raise it with --order-limit"),
+], ids=["invariants", "report", "cohomology-rank", "cohomology-order"])
+def test_size_refusal_names_its_file_and_only_this_commands_flag(
+        capsys, tmp_path, argv, group, rank, refusal):
+    # a refusal the command has no flag for names none; cohomology names
+    # its own flag, not the library keyword
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"group": group, "lattice_rank": rank,
+                                "rays": [], "max_cones": []}))
+    code, _, err = run(capsys, *argv, fixture_path("p2"), str(path))
+    assert (code, err) == (1, f"torika: {path}: {refusal}\n")
 
 
 def test_cohomology_no_input(capsys):
@@ -353,3 +384,82 @@ def test_validate_refuses_cone_wider_than_rank_in_one_line(capsys, tmp_path):
     assert err == (f"torika: {path}: max_cones entry 0 lists 20 rays, more "
                    f"than lattice_rank 2, so its generators are linearly "
                    f"dependent\n")
+
+
+def _group_doc(g):
+    return {"free_rank": g.free_rank, "invariant_factors": list(g.torsion), "pretty": str(g)}
+
+
+def test_invariants_computes_only_what_it_prints(capsys, monkeypatch):
+    # the two fields of the full report, with no orbit count or tropical check
+    reports = {name: full_report(load_datum(fixture_path(name)).fan) for name in FIXTURE_NAMES}
+
+    def refuse(*args):
+        raise AssertionError("torika invariants prints neither")
+    module = import_module("torika.invariants")
+    for name in ("orbit_count", "tropical_int_check"):
+        monkeypatch.setattr(module, name, refuse)
+    for name, rep in reports.items():
+        path = fixture_path(name)
+        assert run(capsys, "invariants", path) == (0, (
+            f"{path}: class_group = {rep.class_group}\n"
+            f"{path}: brauer_kernel = {rep.brauer_kernel} "
+            f"(splitting group {rep.splitting_group})\n"), "")
+        doc = {"file": path, "class_group": _group_doc(rep.class_group),
+               "brauer_kernel": _group_doc(rep.brauer_kernel),
+               "splitting_group": rep.splitting_group}
+        assert run(capsys, "invariants", "--format", "json", path) == (
+            0, json.dumps(doc, indent=2, sort_keys=True) + "\n", "")
+
+
+SMOKE = [[*command.split(), "--format", format, *sorted(
+    str(p.relative_to(ROOT)) for p in (ROOT / "fixtures").glob("*.json"))]
+    for format in ("text", "json")
+    for command in ("validate", "smooth", "truncate", "standard", "invariants",
+                    "check-int", "report", "cohomology --degree 0",
+                    "cohomology --degree 1", "cohomology --degree 2")]
+SMOKE.append(["cohomology", "--degree", "2", "--splitting-group", "C2", "--lattice",
+              '{"rank": 2, "action": [[[1,0],[0,1]],[[0,1],[1,0]]]}'])
+MALFORMED = [["validate", str(p.relative_to(ROOT))] for p in sorted(DATA.glob("*.json"))]
+
+# main() on each argv, with numpy made unimportable first
+NO_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from torika.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _run_python(*args):
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+
+
+def test_the_command_line_runs_without_numpy(capsys, monkeypatch):
+    proc = _run_python("-c", NO_NUMPY, json.dumps(SMOKE + MALFORMED))
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(SMOKE) + len(MALFORMED)
+    monkeypatch.chdir(ROOT)
+    for argv, got in zip(SMOKE + MALFORMED, results):
+        assert tuple(got) == run(capsys, *argv), argv
+    for argv, (code, out, err) in zip(SMOKE, results):
+        assert (code, err) == (0, ""), argv
+    assert len(MALFORMED) >= 20
+    for (_, path), (code, out, err) in zip(MALFORMED, results[len(SMOKE):]):
+        lines = err.splitlines()
+        assert code == 1, path
+        assert (len(lines) == 1 and lines[0].startswith("torika: ")) or (
+            not lines and out.splitlines()[0] == f"{path}: INVALID"), (path, err)
+
+
+def test_importing_the_command_line_imports_no_numpy():
+    proc = _run_python("-c", "import torika.cli, sys; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr

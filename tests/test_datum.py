@@ -173,10 +173,13 @@ def test_malformed_fixture(name, fragment):
     assert name in message  # errors are located with the file path
 
 
+TOO_LONG = "an integer has more digits than Python converts, far above every size limit"
 UNDECODABLE = {
     "latin1": (b'{"name": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
     "deep": (b"[" * 100_000, "maximum recursion depth exceeded"),
-    "huge_int": (b'{"lattice_rank": ' + b"9" * 5000 + b"}", "Exceeds the limit"),
+    # more digits than Python converts: refused in the datum's own words
+    "huge_int": (b'{"lattice_rank": ' + b"9" * 5000 + b"}", TOO_LONG),
+    "huge_negative_int": (b'{"rays": [[-' + b"9" * 4301 + b"]]}", TOO_LONG),
 }
 
 

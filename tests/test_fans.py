@@ -231,6 +231,8 @@ def test_cone_membership():
     # ray membership forces proportionality
     assert cone_contains_point(P2, (2,), (-2, -2))
     assert not cone_contains_point(P2, (2,), (-2, -1))
+    with pytest.raises(ValueError, match="point of length 3 in a fan of rank 2"):
+        cone_contains_point(A2, (0, 1), (1, 0, 0))
 
 
 def test_primitive_vector():
@@ -316,7 +318,7 @@ def full_system_meet(fan, c1, c2):
     system = np.array(v1 + [tuple(-x for x in v) for v in v2],
                       dtype=object).reshape(-1, fan.rank).T
     common_gens = [fan.rays[i].generator for i in sorted(s1 & s2)]
-    for _, img in _extreme_directions(column_kernel(system)):
+    for _, img in _extreme_directions(column_kernel(system).tolist()):
         point = tuple(sum(img[j] * v1[j][i] for j in range(k1))
                       for i in range(fan.rank))
         if _solve_nonneg_rational(common_gens, point) is None:
@@ -505,7 +507,7 @@ def test_product_fans_validate_without_enumeration(monkeypatch):
     valid = [fan for fan in data_file_fans() if validate_fan(fan).ok]
     calls = []
     monkeypatch.setattr(fans_module, "_kernel_array",
-                        lambda a: calls.append(a) or _kernel_array(a))
+                        lambda *args: calls.append(args) or _kernel_array(*args))
     rng = random.Random(4242)
     for d in range(2, 7):
         assert validate_fan(product_fan(rng, d)).ok
@@ -537,7 +539,7 @@ def test_pairs_with_a_ray_take_no_kernel(monkeypatch):
     truth = [full_system_meet(fan, a, b) for fan, a, b in cases]
     calls = []
     monkeypatch.setattr(fans_module, "_kernel_array",
-                        lambda a: calls.append(a) or _kernel_array(a))
+                        lambda *args: calls.append(args) or _kernel_array(*args))
     assert [_meet_in_common_face(fan, a, b) for fan, a, b in cases] == truth
     assert len(calls) == 0
     assert truth.count(False) >= 10 and truth.count(True) >= 100
@@ -554,7 +556,7 @@ def test_pure_divisorial_fans_validate_without_a_kernel(monkeypatch, tmp_path):
     assert all(is_pure_divisorial(fan) for fan in fans)
     calls = []
     monkeypatch.setattr(fans_module, "_kernel_array",
-                        lambda a: calls.append(a) or _kernel_array(a))
+                        lambda *args: calls.append(args) or _kernel_array(*args))
     assert all(validate_fan(fan).ok for fan in fans)
     assert len(calls) == 0 and len(fans) >= 100
 

@@ -76,7 +76,7 @@ def test_class_group_conjugation_invariance():
         expected = class_group(fan)
         for _ in range(5):
             u = rand_unimodular(rng, fan.rank)
-            u_inv = IntMatrix.from_array(_coords_in_basis(u.array, _eye(u.rows)))
+            u_inv = IntMatrix(_coords_in_basis(u.to_rows(), _eye(u.rows)))
             assert class_group(conjugated(fan, u, u_inv)) == expected
 
 

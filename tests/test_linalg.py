@@ -21,12 +21,11 @@ from torika.groups import cyclic_group
 from torika.linalg import (FinAbGroup, IntMatrix, cokernel, kernel_basis,
                            smith_normal_form, solve_integer)
 from torika.linalg import (_coords_in_basis, _eye, _is_unimodular,
-                           _kernel_array, _matmul, _nonredundant_rows,
-                           _smith, _xgcd)
+                           _kernel_array, _nonredundant_rows, _smith, _xgcd)
 
 from conftest import rand_unimodular
-from linalg_oracles import (bareiss_det, column_kernel, column_rank,
-                            minor_invariant_factors)
+from linalg_oracles import (array_matmul, as_array, bareiss_det, column_kernel,
+                            column_rank, eye_array, minor_invariant_factors)
 
 
 def assert_valid_smith(m: IntMatrix):
@@ -81,8 +80,8 @@ def _array_smith(a, left=None, want_v=False):
     m, n = a.shape
     s = a.copy()
     u = None if left is None else np.array(left, dtype=object)
-    v = _eye(n) if want_v else None
-    w = _eye(n) if want_v else None
+    v = eye_array(n) if want_v else None
+    w = eye_array(n) if want_v else None
     limit = min(m, n)
     k = 0
     while k < limit:
@@ -157,12 +156,12 @@ def _array_smith(a, left=None, want_v=False):
 
 
 def _same_entries(x, y):
-    """Equal shapes and equal entries of the same Python type, or both None."""
+    """The row list x and the oracle's object array y have equal entries of
+    the same Python type, or both are None."""
     if x is None or y is None:
         return x is y
-    return (x.shape == y.shape and x.dtype == y.dtype == object
-            and [type(e) for e in x.ravel()] == [type(e) for e in y.ravel()]
-            and x.tolist() == y.tolist())
+    return (y.dtype == object and x == y.tolist()
+            and [type(e) for row in x for e in row] == [type(e) for e in y.ravel()])
 
 
 def _random_entries(rng, m, n, bound):
@@ -184,17 +183,19 @@ def test_row_kernel_is_bit_identical_to_the_object_array_kernel():
                 if m > 1 and rng.random() < 0.5:
                     a[-1] = 3 * a[0]  # a rank drop
                 other = _random_entries(rng, m, rng.randint(0, 3), 5)
-                for left in (None, _eye(m), other):
+                for left in (None, eye_array(m), other):
                     for want_v in (False, True):
                         calls.append((a, left, want_v))
     lattice = permutation_module(cyclic_group(12), cyclic_group(12).trivial_subgroup())
     d1 = _cayley_complex(lattice)[2]
-    assert d1.shape == (12, 12)
-    for a in (d1, _nonredundant_rows(d1)):
-        for left in (None, _eye(a.shape[0])):
+    assert len(d1) == 12
+    for rows in (d1, _nonredundant_rows(d1)):
+        a = as_array(rows, 12)
+        for left in (None, eye_array(a.shape[0])):
             calls += [(a, left, False), (a, left, True)]
     for a, left, want_v in calls:
-        d, *got = _smith(a, left=left, want_v=want_v)
+        d, *got = _smith(a.tolist(), left=None if left is None else left.tolist(),
+                         cols=a.shape[1] if want_v else None)
         s, *want = _array_smith(a, left=left, want_v=want_v)
         diagonal = s.diagonal().tolist()
         assert d == diagonal[:len(d)] and not any(diagonal[len(d):]), (a, left, want_v)
@@ -210,9 +211,8 @@ def test_smith_tracks_inverse_column_transform():
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = IntMatrix([[rng.randint(-12, 12) for _ in range(cols)]
                        for _ in range(rows)])
-        d, _, v, w = _smith(m.to_array(), want_v=True)
-        assert IntMatrix.from_array(w) @ IntMatrix.from_array(v) == \
-            IntMatrix.identity(cols), case
+        d, _, v, w = _smith(m.to_rows(), cols=cols)
+        assert IntMatrix(w) @ IntMatrix(v) == IntMatrix.identity(cols), case
         assert tuple(d) + (0,) * (min(rows, cols) - len(d)) == \
             smith_normal_form(m).diagonal, case
 
@@ -364,7 +364,7 @@ def test_kernel_property(rows):
     k = kernel_basis(m)
     assert all(x == 0 for x in (m @ k).entries)
     # columns are a basis: full column rank
-    assert column_rank(k.array) == k.cols
+    assert column_rank(k.to_array()) == k.cols
 
 
 def _kernel_cases(rng):
@@ -376,8 +376,8 @@ def _kernel_cases(rng):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         if rng.random() < 0.35:
             r = rng.randint(0, min(m, n) - 1)
-            cases.append(_matmul(_random_entries(rng, m, r, 4),
-                                 _random_entries(rng, r, n, 4)))
+            cases.append(array_matmul(_random_entries(rng, m, r, 4),
+                                      _random_entries(rng, r, n, 4)))
         else:
             cases.append(_random_entries(rng, m, n, rng.choice((1, 6, 2 ** 40))))
     return cases
@@ -387,16 +387,17 @@ def test_smith_kernel_is_a_saturated_basis_of_the_oracle_kernel():
     rng = random.Random(20261019)
     deficient = 0
     for a in _kernel_cases(rng):
-        k, want = _kernel_array(a), column_kernel(a)
+        rows, want = _kernel_array(a.tolist(), a.shape[1]), column_kernel(a)
+        k = as_array(rows, len(rows[0]) if rows else 0)
         assert k.shape == want.shape, a
-        assert kernel_basis(IntMatrix.from_array(a)).array.tolist() == k.tolist()
-        assert not _matmul(a, k).any(), a
+        assert kernel_basis(IntMatrix.from_array(a)).to_array().tolist() == k.tolist()
+        assert not array_matmul(a, k).any(), a
         # all Smith diagonal entries of k^T are 1: independent and saturated
         diag = smith_normal_form(IntMatrix.from_array(k).transpose()).diagonal
         assert all(d == 1 for d in diag) and len(diag) == k.shape[1], a
         # each basis has integer coordinates in the other: one lattice
-        _coords_in_basis(k, want)
-        _coords_in_basis(want, k)
+        _coords_in_basis(k.tolist(), want.tolist())
+        _coords_in_basis(want.tolist(), k.tolist())
         deficient += 0 < k.shape[1] < a.shape[1] and a.shape[0] >= a.shape[1]
     assert deficient >= 50, deficient
 
@@ -443,13 +444,10 @@ def test_solve_roundtrip(rows, seed):
 
 
 def test_coords_in_basis():
-    basis = IntMatrix([[2, 0], [0, 3]]).to_array()
-    target = IntMatrix([[4], [3]]).to_array()
-    coords = _coords_in_basis(basis, target)
-    assert [int(coords[i, 0]) for i in range(2)] == [2, 1]
-    outside = IntMatrix([[1], [0]]).to_array()
+    basis = [[2, 0], [0, 3]]
+    assert _coords_in_basis(basis, [[4], [3]]) == [[2], [1]]
     with pytest.raises(ValueError):
-        _coords_in_basis(basis, outside)
+        _coords_in_basis(basis, [[1], [0]])
     with pytest.raises(ValueError, match="basis and targets have different heights"):
         _coords_in_basis(basis, _eye(3))
 
@@ -477,10 +475,10 @@ def kernel_route_coords(basis, targets):
     if ker.shape[1] != t:
         return None
     try:
-        inv = _coords_in_basis(ker[k:, :], _eye(t))
+        inv = _coords_in_basis(ker[k:, :].tolist(), _eye(t))
     except ValueError:
         return None
-    return -_matmul(ker[:k, :], inv)
+    return -array_matmul(ker[:k, :], as_array(inv, t))
 
 
 def random_independent_basis(rng, m, k):
@@ -500,17 +498,17 @@ def test_solvers_match_kernel_route():
         basis = random_independent_basis(rng, m, k)
         y0 = np.array([[rng.randint(-3, 3) for _ in range(2)]
                        for _ in range(k)], dtype=object).reshape(k, 2)
-        targets = _matmul(basis, y0)
+        targets = array_matmul(basis, y0)
         if rng.random() < 0.5:  # usually outside the lattice, often the span
             targets[:, 1] = [rng.randint(-3, 3) for _ in range(m)]
         want = kernel_route_coords(basis, targets)
         if want is None:
             outside += 1
             with pytest.raises(ValueError):
-                _coords_in_basis(basis, targets)
+                _coords_in_basis(basis.tolist(), targets.tolist())
         else:
             inside += 1
-            assert _coords_in_basis(basis, targets).tolist() == want.tolist()
+            assert _coords_in_basis(basis.tolist(), targets.tolist()) == want.tolist()
         for j in range(targets.shape[1]):
             col = targets[:, j:j + 1]
             want = kernel_route_coords(basis, col)
@@ -524,15 +522,14 @@ def test_coords_in_basis_refuses_dependent_basis():
     for _ in range(50):
         m = rng.randint(1, 4)
         basis = random_independent_basis(rng, m, rng.randint(1, m))
-        extra = _matmul(basis, np.array([[rng.randint(-2, 2)]
-                                         for _ in range(basis.shape[1])],
-                                        dtype=object))
+        extra = array_matmul(basis, np.array([[rng.randint(-2, 2)]
+                                              for _ in range(basis.shape[1])],
+                                             dtype=object))
         dependent = np.concatenate([basis, extra], axis=1)
         with pytest.raises(ValueError):
-            _coords_in_basis(dependent, basis)
+            _coords_in_basis(dependent.tolist(), basis.tolist())
     with pytest.raises(ValueError):
-        _coords_in_basis(np.zeros((2, 1), dtype=object),
-                         np.zeros((2, 0), dtype=object))
+        _coords_in_basis([[0], [0]], [[], []])
 
 
 def test_intmatrix_to_array_is_a_copy():
@@ -550,8 +547,12 @@ def test_intmatrix_array_refuses_writes():
             IntMatrix.from_columns([(1, 2)]), kernel_basis(IntMatrix([[1, -1]])),
             smith_normal_form(m).u]
     for x in made:
-        with pytest.raises(ValueError):
-            x.array[0, 0] = 7
+        before = x.to_rows()
+        with pytest.raises(TypeError):
+            x[0, 0] = 7
+        x.to_rows()[0][0] = 7
+        x.to_array()[0, 0] = 7
+        assert x.to_rows() == before
     assert m == IntMatrix([[1, 2], [3, 4]])
 
 
@@ -578,7 +579,7 @@ def test_intmatrix_equal_means_equal_hash():
 
 def test_intmatrix_from_int64_array_holds_python_ints():
     m = IntMatrix.from_array(np.array([[1, -2], [3, 2 ** 40]], dtype=np.int64))
-    assert m.array.dtype == object
+    assert m.to_array().dtype == object
     assert all(type(x) is int for x in m.entries)
     assert type(m[1, 1]) is int
     big = m @ IntMatrix([[2 ** 40, 0], [0, 2 ** 40]])
