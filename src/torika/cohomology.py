@@ -122,8 +122,10 @@ class GLattice:
 
 
 def trivial_lattice(group: FiniteGroup, rank: int) -> GLattice:
-    eye = IntMatrix.identity(rank)
-    return GLattice(group, rank, tuple(eye for _ in group.elements()))
+    """Z^rank with the trivial action, which needs no proof."""
+    if rank < 0:
+        raise ValueError("negative rank")
+    return GLattice._adopt(group, rank, (IntMatrix.identity(rank),) * group.order)
 
 
 def permutation_lattice(group: FiniteGroup, perms) -> GLattice:

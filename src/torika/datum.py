@@ -96,7 +96,8 @@ def build_group(spec) -> FiniteGroup:
                  "field 'group': explicit groups need 'order' and 'table'")
         order = _as_int(spec["order"], "field 'group.order'")
         table = spec["table"]
-        _require(isinstance(table, list), "field 'group.table' must be a list")
+        _require(isinstance(table, list) and all(isinstance(row, list) for row in table),
+                 "field 'group.table' must be a list of rows")
         try:
             return FiniteGroup(order=order, table=tuple(
                 tuple(_as_int(x, "field 'group.table' entry") for x in row)
@@ -111,10 +112,13 @@ def _complete_generator_action(group, rank, gens):
     """Extend matrices given on generators to the whole group.
 
     Along a BFS of their Cayley graph (`FiniteGroup.cayley_walk`), a tree
-    edge (g, s) sets the matrix of g*s to that of g times that of s and
-    any other edge checks it; reports the first element forced to two
-    different values, or the elements that the generators never reach.
+    edge (g, s) sets the matrix of g*s to that of g times that of s, and
+    reports the elements that the generators never reach.  No other edge
+    is checked: the identity's edges come first, so each generator keeps
+    its matrix, and `GLattice` proves the completion an action or fails.
     """
+    _require(isinstance(gens, dict), "field 'action.generators' must map "
+             "element indices to matrices")
     given = {group.identity: IntMatrix.identity(rank)}
     for key, mat in gens.items():
         try:
@@ -137,13 +141,8 @@ def _complete_generator_action(group, rank, gens):
     steps = [g for g in given if g != group.identity]
     known = {group.identity: given[group.identity]}
     for g, j, h, tree in group.cayley_walk(steps):
-        product = known[g] @ given[steps[j]]
         if tree:
-            known[h] = product
-        elif known[h] != product:
-            raise DatumError(
-                f"field 'action': the generator matrices force two "
-                f"different values at element {h}")
+            known[h] = known[g] @ given[steps[j]]
     if len(known) != group.order:
         missing = sorted(set(group.elements()) - set(known))
         raise DatumError(f"field 'action': generators do not generate the "
@@ -159,6 +158,8 @@ def build_action(group, rank, spec) -> GLattice:
         _require("generators" in spec,
                  "field 'action': expected null, a matrix list, or "
                  "{'generators': {...}}")
+        unknown = sorted(set(spec) - {"generators"})
+        _require(not unknown, f"field 'action': unknown keys {unknown}")
         matrices = _complete_generator_action(group, rank, spec["generators"])
     else:
         _require(isinstance(spec, list) and len(spec) == group.order,

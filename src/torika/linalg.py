@@ -11,9 +11,10 @@ returns the invariant factors, not the reduced matrix S, which only
 `smith_normal_form` builds.  With u @ a.T @ v = S in Smith form, the
 rows of u past the rank are a basis of ker a, saturated as u is
 unimodular (Cohen, GTM 138, section 2.4), so the kernel needs only the
-row operations.  The elimination picks the smallest available pivot,
-which keeps intermediate entries modest on the structured matrices
-produced elsewhere in the package.
+row operations.  The elimination is one loop that picks the smallest
+available pivot, which keeps entries modest on the package's structured
+matrices, negates a negative pivot's row, and mends a break in the
+divisibility chain by a row addition and eliminating again.
 """
 
 from __future__ import annotations
@@ -42,19 +43,6 @@ def _matmul(a, b):
     """a @ b on row lists; b has a row unless a's rows are empty."""
     columns = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in columns] for row in a]
-
-
-def _xgcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) = a*x + b*y and g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 class IntMatrix:
@@ -301,6 +289,12 @@ def _smith(a, left=None, cols=None):
     applied to a copy of `left` (m rows; the identity gives u itself),
     and None without it.  v and w are None unless `cols`, the width of
     `a` (which may have no rows), is given.  All are Python int row lists.
+
+    One loop does it all.  A negative pivot, once its row and column are
+    clear, has its row negated.  At the diagonal, the first d_i that does
+    not divide d_(i+1) gets row i+1 added to row i, and the loop eliminates
+    again from i: the new d_i is smaller, as d_(i+1) mod d_i is not zero,
+    and the entries before i stay put, so the loop ends.
     """
     m = len(a)
     n = len(a[0]) if a else 0
@@ -308,14 +302,20 @@ def _smith(a, left=None, cols=None):
     u = None if left is None else [list(row) for row in left]
     v = None if cols is None else _eye(cols)
     w = None if cols is None else _eye(cols)
-    limit = min(m, n)
     k = 0
-    while k < limit:
+    while True:
         # re-select the smallest pivot every pass; this is what keeps
         # intermediate entries from exploding
         where = _find_pivot(s, k)
         if where is None:
-            break
+            i = next((i for i in range(k - 1) if s[i + 1][i + 1] % s[i][i]), None)
+            if i is None:
+                return [s[i][i] for i in range(k)], u, v, w
+            s[i][i + 1] = s[i + 1][i + 1]
+            if u is not None:
+                u[i] = [x + y for x, y in zip(u[i], u[i + 1])]
+            k = i
+            continue
         while True:
             i, j = where
             if i != k:
@@ -350,40 +350,11 @@ def _smith(a, left=None, cols=None):
             if clear:
                 break
             where = _find_pivot(s, k)
-        k += 1
-    rank = k
-    for i in range(rank):
-        if s[i][i] < 0:
-            s[i][i] = -s[i][i]
-            if v is not None:
-                for row in v:
-                    row[i] = -row[i]
-                w[i] = [-x for x in w[i]]
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            d0, d1 = s[i][i], s[i + 1][i + 1]
-            if d1 % d0 == 0:
-                continue
-            changed = True
-            j = i + 1
-            g, x, y = _xgcd(d0, d1)
-            lcm = d0 // g * d1
-            if v is not None:
-                t = y * d1 // g
-                for row in v:
-                    row[i] += row[j]
-                    row[j] -= t * row[i]
-                w[j] = [a - b for a, b in zip(w[j], w[i])]
-                w[i] = [a + t * b for a, b in zip(w[i], w[j])]
+        if top[k] < 0:
+            top[k] = -top[k]
             if u is not None:
-                u[i], u[j] = ([x * a + y * b for a, b in zip(u[i], u[j])],
-                              [d0 // g * b - d1 // g * a for a, b in zip(u[i], u[j])])
-            s[i][i] = g
-            s[j][j] = lcm
-    return [s[i][i] for i in range(rank)], u, v, w
+                u[k] = [-x for x in u[k]]
+        k += 1
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:

@@ -7,7 +7,8 @@ a unimodular column reduction gives kernels and ranks, fraction-free
 (Bareiss) elimination gives determinants, and gcds of minors give the
 invariant factors.  They work on numpy object arrays, which the package
 itself no longer uses: `as_array`, `eye_array` and `array_matmul` carry
-row lists and matrices over.
+row lists and matrices over.  `_xgcd` gives the Bezout coefficients with
+which the old Smith kernel in `test_linalg` mends its divisibility chain.
 """
 
 import math
@@ -30,6 +31,19 @@ def eye_array(n):
 def array_matmul(a, b):
     """a @ b for object arrays, with any dimension zero."""
     return (IntMatrix.from_array(a) @ IntMatrix.from_array(b)).to_array()
+
+
+def _xgcd(a, b):
+    """Return (g, x, y) with g = gcd(a, b) = a*x + b*y and g >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
 
 
 def column_kernel(a):

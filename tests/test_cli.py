@@ -19,7 +19,7 @@ from torika.invariants import full_report
 from torika.structure import pure_divisorial_truncation, rho_map
 
 from conftest import FIXTURE_NAMES, fixture_path
-from test_datum import UNDECODABLE
+from test_datum import C2_DOC, MALFORMED_FIELDS, UNDECODABLE
 
 DATA = Path(__file__).resolve().parent / "data"
 ROOT = Path(__file__).resolve().parent.parent
@@ -371,6 +371,35 @@ def test_internal_error_before_any_stage_names_none(capsys, monkeypatch):
     code, out, err = run(capsys, "report", fixture_path("p2"))
     assert code == 1
     assert err.splitlines() == ["torika: internal error: KeyError: 'pure'"]
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FIELDS))
+def test_malformed_group_and_action_fields_are_one_located_line(capsys, tmp_path, name):
+    fields, message = MALFORMED_FIELDS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(C2_DOC, **fields)))
+    assert run(capsys, "validate", str(path)) == (1, "", f"torika: {path}: {message}\n")
+
+
+def test_a_generator_list_is_refused_in_an_inline_lattice_too(capsys):
+    assert run(capsys, "cohomology", "--splitting-group", "C2", "--lattice",
+               '{"rank": 1, "action": {"generators": [[1]]}}') == (
+        1, "", "torika: --lattice: field 'action.generators' must map element "
+               "indices to matrices\n")
+
+
+def test_a_wide_trivial_action_validates_and_is_refused_by_the_brauer_kernel(
+        capsys, tmp_path):
+    path = tmp_path / "wide_trivial.json"
+    path.write_text(json.dumps({"group": "C6", "lattice_rank": 600, "action": None,
+                                "rays": [], "max_cones": []}))
+    start = time.perf_counter()
+    assert run(capsys, "validate", str(path)) == (
+        0, f"{path}: valid fan (0 rays, 1 cones)\n", "")
+    assert run(capsys, "report", str(path)) == (
+        1, "", f"torika: {path}: Brauer kernel: lattice rank 600 exceeds the limit 16 "
+               "(d^1 would be 600x600)\n")
+    assert time.perf_counter() - start < 10.0
 
 
 def test_validate_refuses_cone_wider_than_rank_in_one_line(capsys, tmp_path):

@@ -104,6 +104,60 @@ def test_group_and_generator_fields_refuse_bad_values():
         build_action(c2, 1, {"generators": {"0": [[-1]]}})
 
 
+def test_generator_completion_multiplies_only_along_the_tree(monkeypatch):
+    # GLattice is the one proof of the action, so the walk takes one
+    # product per element it reaches and checks no other edge
+    from torika import datum as datum_module
+
+    s3 = group_preset("S3")
+    lattice = permutation_module(s3, s3.trivial_subgroup())
+    gens = {"1": lattice.act(1).to_rows(), "2": lattice.act(2).to_rows()}
+    products = []
+    matmul = IntMatrix.__matmul__
+    monkeypatch.setattr(IntMatrix, "__matmul__",
+                        lambda a, b: products.append(1) or matmul(a, b))
+    matrices = datum_module._complete_generator_action(s3, 6, gens)
+    assert len(products) == s3.order - 1
+    assert matrices == lattice.action
+
+
+C2_DOC = {"group": "C2", "lattice_rank": 1, "rays": [[1]], "max_cones": [[0]]}
+# malformed datums refused by the field they break, never an internal error
+MALFORMED_FIELDS = {
+    "generators_list": ({"action": {"generators": [[1]]}},
+                        "field 'action.generators' must map element indices to matrices"),
+    "table_row_int": ({"group": {"order": 2, "table": [5, [1, 0]]}},
+                      "field 'group.table' must be a list of rows"),
+    "action_extra_key": ({"action": {"generators": {"1": [[-1]]}, "extra": 1}},
+                         "field 'action': unknown keys ['extra']"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FIELDS))
+def test_malformed_group_and_action_fields_are_located(tmp_path, name):
+    fields, message = MALFORMED_FIELDS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(C2_DOC, **fields)))
+    with pytest.raises(DatumError) as err:
+        load_datum(str(path))
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_a_wide_trivial_action_is_adopted_without_a_product(tmp_path, monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("a matrix product")
+
+    path = tmp_path / "wide_trivial.json"
+    path.write_text(json.dumps({"group": "C6", "lattice_rank": 600, "action": None,
+                                "rays": [], "max_cones": []}))
+    monkeypatch.setattr(IntMatrix, "__matmul__", refuse)
+    start = time.perf_counter()
+    datum = load_datum(str(path))
+    assert time.perf_counter() - start < 5.0
+    assert datum.lattice_rank == 600 and datum.group.order == 6
+    assert all(datum.action.act(g) == IntMatrix.identity(600) for g in range(6))
+
+
 def _s3_permutation_doc(action):
     """S3 permuting the coordinates of Z^3, with the coordinate rays."""
     return {"group": "S3", "lattice_rank": 3, "action": action,
@@ -137,8 +191,7 @@ def test_generator_action_completion_two_generators(tmp_path):
                         "2": [[-x for x in row]
                               for row in _permutation_matrix(perms[2])]}})))
     with pytest.raises(DatumError,
-                       match=r"the generator matrices force two different "
-                             r"values at element \d+$"):
+                       match=r"field 'action': action is not a homomorphism at \(2, 4\)$"):
         load_datum(str(broken))
 
 
@@ -147,7 +200,7 @@ def test_generator_action_completion_two_generators(tmp_path):
     ("unknown_preset", "unknown group preset 'C9'"),
     ("wrong_table", "field 'group'"),
     ("nonunimodular_action", "element 1 is not unimodular"),
-    ("inconsistent_generators", "two different values at element 0"),
+    ("inconsistent_generators", "field 'action': action is not a homomorphism at (1, 1)"),
     ("nongenerating", "unreached elements [2, 3]"),
     ("wrong_action_count", "one matrix per element"),
     ("wrong_ray_length", "ray 0 must be a vector of length 2"),

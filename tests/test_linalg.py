@@ -16,16 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torika import linalg
 from torika.cohomology import _cayley_complex, permutation_module
 from torika.groups import cyclic_group
 from torika.linalg import (FinAbGroup, IntMatrix, cokernel, kernel_basis,
                            smith_normal_form, solve_integer)
 from torika.linalg import (_coords_in_basis, _eye, _is_unimodular,
-                           _kernel_array, _nonredundant_rows, _smith, _xgcd)
+                           _kernel_array, _nonredundant_rows, _smith)
 
 from conftest import rand_unimodular
-from linalg_oracles import (array_matmul, as_array, bareiss_det, column_kernel,
-                            column_rank, eye_array, minor_invariant_factors)
+from linalg_oracles import (_xgcd, array_matmul, as_array, bareiss_det,
+                            column_kernel, column_rank, eye_array,
+                            minor_invariant_factors)
 
 
 def assert_valid_smith(m: IntMatrix):
@@ -66,7 +68,8 @@ def _array_find_pivot(s, k):
 
 
 def _array_smith(a, left=None, want_v=False):
-    """Oracle: the object-array Smith kernel that `_smith` replaced.
+    """Oracle: the object-array Smith kernel that `_smith` replaced, which
+    fixes the signs and the divisibility chain in passes after its loop.
 
     Diagonalize a copy of `a` by unimodular row/column operations.
 
@@ -155,54 +158,83 @@ def _array_smith(a, left=None, want_v=False):
     return s, u, v, w
 
 
-def _same_entries(x, y):
-    """The row list x and the oracle's object array y have equal entries of
-    the same Python type, or both are None."""
-    if x is None or y is None:
-        return x is y
-    return (y.dtype == object and x == y.tolist()
-            and [type(e) for row in x for e in row] == [type(e) for e in y.ravel()])
-
-
 def _random_entries(rng, m, n, bound):
     a = np.array([[rng.randint(-bound, bound) if rng.random() < 0.6 else 0
                    for _ in range(n)] for _ in range(m)], dtype=object)
     return a.reshape(m, n)
 
 
-def test_row_kernel_is_bit_identical_to_the_object_array_kernel():
-    """d is the oracle's nonzero diagonal, its zeros trailing, and u @ left,
-    v and w equal the oracle's on every shape up to 7 x 7, zero rows and
-    columns included, with and without `left` and `v`."""
+def _smith_cases():
+    """(a, other): every shape up to 7 x 7, zero rows and columns included,
+    entries up to 2^70 and rank drops, with a random `left` for each; then
+    the regular C12 d^1 with and without its redundant rows."""
     rng = random.Random(15)
-    calls = []
+    cases = []
     for m in range(8):
         for n in range(8):
             for bound in (1, 9, 2 ** 70):
                 a = _random_entries(rng, m, n, bound)
                 if m > 1 and rng.random() < 0.5:
                     a[-1] = 3 * a[0]  # a rank drop
-                other = _random_entries(rng, m, rng.randint(0, 3), 5)
-                for left in (None, eye_array(m), other):
-                    for want_v in (False, True):
-                        calls.append((a, left, want_v))
+                cases.append((a, _random_entries(rng, m, rng.randint(0, 3), 5)))
     lattice = permutation_module(cyclic_group(12), cyclic_group(12).trivial_subgroup())
     d1 = _cayley_complex(lattice)[2]
     assert len(d1) == 12
     for rows in (d1, _nonredundant_rows(d1)):
-        a = as_array(rows, 12)
-        for left in (None, eye_array(a.shape[0])):
-            calls += [(a, left, False), (a, left, True)]
-    for a, left, want_v in calls:
-        d, *got = _smith(a.tolist(), left=None if left is None else left.tolist(),
-                         cols=a.shape[1] if want_v else None)
-        s, *want = _array_smith(a, left=left, want_v=want_v)
+        cases.append((as_array(rows, 12), _random_entries(rng, len(rows), 2, 5)))
+    assert any(abs(x) > 2 ** 63 for a, _ in cases for x in a.ravel())
+    return cases
+
+
+def test_smith_transforms_are_unimodular_and_reduce_to_the_oracle_diagonal():
+    """d is the oracle's nonzero diagonal, its zeros trailing; u @ a @ v is
+    S and w @ v is 1 with |det u| = |det v| = 1; and any other `left`, or
+    none, or no v, changes nothing but what is returned."""
+    for a, other in _smith_cases():
+        m, n = a.shape
+        rows = a.tolist()
+        d, u, v, w = _smith(rows, left=_eye(m), cols=n)
+        s, *_ = _array_smith(a)
         diagonal = s.diagonal().tolist()
-        assert d == diagonal[:len(d)] and not any(diagonal[len(d):]), (a, left, want_v)
-        assert all(type(x) is int for x in d), (a, left, want_v)
-        for x, y in zip(got, want):
-            assert _same_entries(x, y), (a, left, want_v)
-    assert any(abs(x) > 2 ** 63 for a, _, _ in calls for x in a.ravel())
+        assert d == diagonal[:len(d)] and not any(diagonal[len(d):]), a
+        assert all(type(x) is int and x > 0 for x in d), a
+        full = [[d[i] if i == j and i < len(d) else 0 for j in range(n)]
+                for i in range(m)]
+        assert IntMatrix(u, m) @ IntMatrix(rows, n) @ IntMatrix(v, n) == IntMatrix(full, n), a
+        assert IntMatrix(w, n) @ IntMatrix(v, n) == IntMatrix.identity(n), a
+        assert abs(bareiss_det(IntMatrix(u, m))) == abs(bareiss_det(IntMatrix(v, n))) == 1, a
+        for left in (None, other.tolist()):
+            want = None if left is None else (
+                IntMatrix(u, m) @ IntMatrix(left, other.shape[1])).to_rows()
+            for cols in (None, n):
+                got = _smith(rows, left=left, cols=cols)
+                assert got[:2] == (d, want), (a, left, cols)
+                assert got[2:] == ((None, None) if cols is None else (v, w)), (a, left, cols)
+
+
+def _resumes(monkeypatch, rows):
+    """The invariant factors of `rows` and how often `_smith` went back to
+    an earlier pivot, which only a mended divisibility chain does."""
+    calls = []
+    find = linalg._find_pivot
+    monkeypatch.setattr(linalg, "_find_pivot", lambda s, k: calls.append(k) or find(s, k))
+    d = _smith(rows)[0]
+    monkeypatch.undo()
+    return d, sum(b < a for a, b in zip(calls, calls[1:]))
+
+
+@pytest.mark.parametrize("rows, factors, resumes", [
+    ([[2, 0], [0, 3]], [1, 6], 1),
+    ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30], 2),
+    ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], [1, 1, 30], 2),
+    ([[2, 4, 0], [4, 2, 0], [0, 0, 9]], [1, 6, 18], 2),
+    ([[4, 6, 0, 0], [6, 4, 0, 0], [0, 0, 9, 0], [0, 0, 0, 25]], [1, 1, 10, 450], 4),
+])
+def test_smith_mends_the_divisibility_chain_by_eliminating_again(
+        monkeypatch, rows, factors, resumes):
+    d, count = _resumes(monkeypatch, rows)
+    assert d == minor_invariant_factors(IntMatrix(rows)) == factors
+    assert count == resumes
 
 
 def test_smith_tracks_inverse_column_transform():
