@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from typing import NamedTuple
 
 from .cohomology import ORDER_LIMIT, RANK_LIMIT, _check_limits, cohomology
 from .datum import (HUGE_INT, _as_int, _require, build_action, datum_from_fan,
@@ -30,12 +29,13 @@ from .structure import (character_lattice, pure_divisorial_truncation,
                         rho_map, tropical_int_check)
 
 
-class Record(NamedTuple):
+class Record:
     """What one subcommand made of one input."""
 
-    doc: dict
-    lines: list
-    ok: bool = True
+    __slots__ = ("doc", "lines", "ok")
+
+    def __init__(self, doc: dict, lines: list, ok: bool = True):
+        self.doc, self.lines, self.ok = doc, lines, ok
 
 
 def _group_dict(g: FinAbGroup) -> dict:

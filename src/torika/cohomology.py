@@ -27,7 +27,6 @@ route for checks.  `GLattice` checks an action on the same graph's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
 from operator import add, mul, sub
@@ -45,6 +44,7 @@ from .linalg import (
     _nonredundant_rows,
     _smith,
 )
+from .value import Value
 
 # Size guards.  The largest matrix any degree builds is the presentation's
 # d^1, of shape rank*(|G|(|S|-1)+1) x rank*|S|.  Each generator at least
@@ -54,8 +54,7 @@ ORDER_LIMIT = 12
 RANK_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class GLattice:
+class GLattice(Value):
     """A free Z-module of finite rank with a linear action of a finite group.
 
     `action[g]` is the matrix of g.  Construction checks that e acts as
@@ -65,12 +64,12 @@ class GLattice:
     failure names the first failing pair (g, h) in row-major order.
     """
 
-    group: FiniteGroup
-    rank: int
-    action: tuple
+    __slots__ = _fields = ("group", "rank", "action")
 
-    def __post_init__(self):
-        mats = tuple(self.action)
+    def __init__(self, group: FiniteGroup, rank: int, action: tuple):
+        mats = tuple(action)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "action", mats)
         if self.rank < 0:
             raise ValueError("negative rank")
@@ -93,7 +92,9 @@ class GLattice:
     def _adopt(cls, group, rank, action):
         """Wrap matrices built from checked lattices: they inherit the proof."""
         lattice = object.__new__(cls)
-        lattice.__dict__.update(group=group, rank=rank, action=tuple(action))
+        object.__setattr__(lattice, "group", group)
+        object.__setattr__(lattice, "rank", rank)
+        object.__setattr__(lattice, "action", tuple(action))
         return lattice
 
     def act(self, g) -> IntMatrix:
@@ -155,16 +156,16 @@ def permutation_module(group: FiniteGroup, subgroup: Subgroup) -> GLattice:
     return permutation_lattice(group, coset_permutations(group, subgroup))
 
 
-@dataclass(frozen=True)
-class GLatticeMap:
+class GLatticeMap(Value):
     """An integer matrix commuting with the two group actions (checked on
     `generating_set`, which names the least element that fails)."""
 
-    source: GLattice
-    target: GLattice
-    matrix: IntMatrix
+    __slots__ = _fields = ("source", "target", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, source: GLattice, target: GLattice, matrix: IntMatrix):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
         if self.source.group != self.target.group:
             raise IncompatibleModulesError("source and target have different groups")
         if self.matrix.shape != (self.target.rank, self.source.rank):
@@ -179,8 +180,7 @@ class GLatticeMap:
                 )
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(Value):
     """H^degree of a lattice, with its presentation kept around.
 
     `cocycles` has the basis of the cocycle lattice as columns (inside
@@ -191,14 +191,20 @@ class CohomologyResult:
     generate Z^1 + |G| L^S, and the boundary matrix is diagonal.  Degree 2
     also keeps `_coords` = (w, lifts) from the Smith form of d^1: a
     cocycle f has coordinates (w @ f) / lifts in the `cocycles` basis.
+    Equality and the repr leave `_coords` out.
     """
 
-    degree: int
-    coefficients: GLattice
-    group: FinAbGroup
-    cocycles: IntMatrix
-    boundaries: IntMatrix
-    _coords: tuple = field(default=None, repr=False, compare=False)
+    _fields = ("degree", "coefficients", "group", "cocycles", "boundaries")
+    __slots__ = _fields + ("_coords",)
+
+    def __init__(self, degree: int, coefficients: GLattice, group: FinAbGroup,
+                 cocycles: IntMatrix, boundaries: IntMatrix, _coords: tuple = None):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "cocycles", cocycles)
+        object.__setattr__(self, "boundaries", boundaries)
+        object.__setattr__(self, "_coords", _coords)
 
 
 def _check_limits(group, rank, order_limit=ORDER_LIMIT, rank_limit=RANK_LIMIT,
@@ -391,8 +397,7 @@ def _apply_blockwise(fmap: GLatticeMap, vectors, blocks):
             for row in _matmul(fmap.matrix._r, vectors[b * rank:(b + 1) * rank])]
 
 
-@dataclass(frozen=True)
-class InducedCohomologyMap:
+class InducedCohomologyMap(Value):
     """A map H^n -> H^n written between retained presentations.
 
     `matrix` sends cocycle coordinates of the source to cocycle
@@ -400,9 +405,13 @@ class InducedCohomologyMap:
     boundary columns.
     """
 
-    source: CohomologyResult
-    target: CohomologyResult
-    matrix: IntMatrix
+    __slots__ = _fields = ("source", "target", "matrix")
+
+    def __init__(self, source: CohomologyResult, target: CohomologyResult,
+                 matrix: IntMatrix):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def _h2_of(lattice, result):

@@ -20,22 +20,24 @@ DatumError locating the offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .cohomology import GLattice, _check_limits, trivial_lattice
 from .errors import DatumError, TorikaError
 from .fans import GFan, primitive_vector, validate_fan
 from .groups import GROUP_PRESETS, FiniteGroup, group_preset
 from .linalg import IntMatrix, _is_unimodular
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ToricDatum:
+class ToricDatum(Value):
     """A named fan description, as loaded from (or written to) a file."""
 
-    name: str
-    group_spec: object
-    fan: GFan
+    __slots__ = _fields = ("name", "group_spec", "fan")
+
+    def __init__(self, name: str, group_spec: object, fan: GFan):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "group_spec", group_spec)
+        object.__setattr__(self, "fan", fan)
 
     @property
     def group(self) -> FiniteGroup:
@@ -94,6 +96,8 @@ def build_group(spec) -> FiniteGroup:
     if isinstance(spec, dict):
         _require("order" in spec and "table" in spec,
                  "field 'group': explicit groups need 'order' and 'table'")
+        unknown = sorted(set(spec) - {"order", "table"})
+        _require(not unknown, f"field 'group': unknown keys {unknown}")
         order = _as_int(spec["order"], "field 'group.order'")
         table = spec["table"]
         _require(isinstance(table, list) and all(isinstance(row, list) for row in table),

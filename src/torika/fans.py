@@ -11,7 +11,6 @@ every violated condition at once, so malformed input is diagnosed in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import wraps
 from itertools import combinations, product
 from operator import index, mul
@@ -20,16 +19,16 @@ from .cohomology import GLattice, trivial_lattice
 from .errors import FanValidationError, NotInFanError
 from .groups import FiniteGroup, Subgroup, trivial_group
 from .linalg import _content, _eye, _kernel_array, _matmul, _smith, _transpose
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Ray(object):
+class Ray(Value):
     """A one-dimensional cone, named by its primitive integer generator."""
 
-    generator: tuple
+    __slots__ = _fields = ("generator",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "generator", tuple(map(index, self.generator)))
+    def __init__(self, generator: tuple):
+        object.__setattr__(self, "generator", tuple(map(index, generator)))
 
     @property
     def max_norm(self):
@@ -39,16 +38,15 @@ class Ray(object):
         return f"Ray{self.generator}"
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Value):
     """A cone of the fan, as the sorted tuple of its ray indices.
 
     The empty tuple is the zero cone."""
 
-    rays: tuple = ()
+    __slots__ = _fields = ("rays",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(sorted(set(map(index, self.rays)))))
+    def __init__(self, rays: tuple = ()):
+        object.__setattr__(self, "rays", tuple(sorted(set(map(index, rays)))))
 
     def __len__(self):
         return len(self.rays)
@@ -67,8 +65,7 @@ def _as_cone(c):
     return c if isinstance(c, Cone) else Cone(tuple(c))
 
 
-@dataclass(frozen=True)
-class ConeForm:
+class ConeForm(Value):
     """One Smith form u G v = S of a cone's generator matrix G (k x n).
 
     G is independent iff k d_i are nonzero, smooth iff all are 1.  If it
@@ -76,10 +73,14 @@ class ConeForm:
     G's rows, and duals those of L = v[:, :k] diag(d_k/d_i) u: G L = d_k I.
     """
 
-    independent: bool
-    smooth: bool
-    normals: tuple = ()
-    duals: tuple = ()
+    __slots__ = _fields = ("independent", "smooth", "normals", "duals")
+
+    def __init__(self, independent: bool, smooth: bool, normals: tuple = (),
+                 duals: tuple = ()):
+        object.__setattr__(self, "independent", independent)
+        object.__setattr__(self, "smooth", smooth)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "duals", duals)
 
     @classmethod
     def of(cls, generators, n):
@@ -112,25 +113,26 @@ def _cached(method):
     return accessor
 
 
-@dataclass(frozen=True)
-class GFan:
+class GFan(Value):
     """A fan together with a group acting on the ambient lattice.
 
     Construction only normalizes the data; every semantic requirement
     (primitivity, face closure, cone intersections, equivariance) is
     checked by validate_fan, which reports all problems at once.
+    Equality and the repr leave the accessors' `_cache` out.
     """
 
-    rank: int
-    rays: tuple
-    cones: tuple
-    action: GLattice
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("rank", "rays", "cones", "action")
+    __slots__ = _fields + ("_cache",)
 
-    def __post_init__(self):
+    def __init__(self, rank: int, rays: tuple, cones: tuple, action: GLattice,
+                 _cache: dict = None):
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rays", tuple(
-            r if isinstance(r, Ray) else Ray(r) for r in self.rays))
-        object.__setattr__(self, "cones", tuple(_as_cone(c) for c in self.cones))
+            r if isinstance(r, Ray) else Ray(r) for r in rays))
+        object.__setattr__(self, "cones", tuple(_as_cone(c) for c in cones))
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "_cache", {} if _cache is None else _cache)
 
     @classmethod
     def from_max_cones(cls, rank, rays, max_cones, action=None):
@@ -229,9 +231,11 @@ class GFan:
         return hash((self.rank, self.rays, self.cones, self.action.group.table))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    problems: tuple
+class ValidationReport(Value):
+    __slots__ = _fields = ("problems",)
+
+    def __init__(self, problems: tuple):
+        object.__setattr__(self, "problems", problems)
 
     @property
     def ok(self):

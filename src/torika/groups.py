@@ -19,33 +19,32 @@ such a law is a generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations, product
 from operator import index as _index, itemgetter
 
 from .errors import MalformedGroupError, MalformedSubgroupError
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Value):
     """A finite group given by its multiplication table.
 
     table[a][b] is the product a*b.  The identity is discovered during
-    construction and the full group axioms are verified, so an instance
-    can always be trusted downstream.
+    construction, whatever `identity` says, and the full group axioms
+    are verified, so an instance can always be trusted downstream.
+    Equality reads only the order and the table.
     """
 
-    order: int
-    table: tuple
-    identity: int = field(default=-1, compare=False)
-    name: str = field(default="", compare=False)
-    generating_set: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("order", "table", "identity", "name", "generating_set", "_inverses")
+    _fields = ("order", "table")
 
-    def __post_init__(self):
-        n = self.order
-        table = tuple(tuple(map(_index, row)) for row in self.table)
+    def __init__(self, order, table, identity=-1, name=""):
+        n = order
+        table = tuple(tuple(map(_index, row)) for row in table)
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "name", name)
         if n < 1:
             raise MalformedGroupError("a group needs at least one element")
         if len(table) != n or any(len(row) != n for row in table):
@@ -153,16 +152,15 @@ def _greedy_generators(group, elements):
     return tuple(gens)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Value):
     """A subgroup, stored as the sorted tuple of its element indices."""
 
-    parent: FiniteGroup
-    elements: tuple
-    generating_set: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("parent", "elements", "generating_set")
+    _fields = ("parent", "elements")
 
-    def __post_init__(self):
-        elems = tuple(sorted(set(map(_index, self.elements))))
+    def __init__(self, parent, elements):
+        elems = tuple(sorted(set(map(_index, elements))))
+        object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "elements", elems)
         wrong = [x for x in elems if not 0 <= x < self.parent.order]
         if wrong:

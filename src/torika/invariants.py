@@ -10,8 +10,6 @@ divisorial truncation when needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cohomology import _shapiro_kernel
 from .errors import StageError, TorikaError
 from .fans import GFan, is_smooth, orbit_count, ray_orbits
@@ -19,6 +17,7 @@ from .linalg import FinAbGroup, cokernel
 from .structure import (character_lattice, is_pure_divisorial,
                         pure_divisorial_truncation, ray_matrix,
                         tropical_int_check)
+from .value import Value
 
 
 def class_group(fan: GFan) -> FinAbGroup:
@@ -52,8 +51,7 @@ def brauer_kernel(fan: GFan) -> FinAbGroup:
                            ray_orbits(fan))
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Value):
     """All computed invariants of one fan, bundled.
 
     The class group, Brauer kernel and tropical check are computed on
@@ -64,14 +62,21 @@ class InvariantReport:
     check raises instead.
     """
 
-    smooth: bool
-    pure_divisorial: bool
-    orbit_count: int
-    ray_orbit_summary: tuple
-    class_group: FinAbGroup
-    brauer_kernel: FinAbGroup
-    tropical_check: bool
-    splitting_group: str
+    __slots__ = _fields = ("smooth", "pure_divisorial", "orbit_count", "ray_orbit_summary",
+                           "class_group", "brauer_kernel", "tropical_check",
+                           "splitting_group")
+
+    def __init__(self, smooth: bool, pure_divisorial: bool, orbit_count: int,
+                 ray_orbit_summary: tuple, class_group: FinAbGroup,
+                 brauer_kernel: FinAbGroup, tropical_check: bool, splitting_group: str):
+        object.__setattr__(self, "smooth", smooth)
+        object.__setattr__(self, "pure_divisorial", pure_divisorial)
+        object.__setattr__(self, "orbit_count", orbit_count)
+        object.__setattr__(self, "ray_orbit_summary", ray_orbit_summary)
+        object.__setattr__(self, "class_group", class_group)
+        object.__setattr__(self, "brauer_kernel", brauer_kernel)
+        object.__setattr__(self, "tropical_check", tropical_check)
+        object.__setattr__(self, "splitting_group", splitting_group)
 
 
 def _stage(name, thunk):

@@ -19,9 +19,10 @@ divisibility chain by a row addition and eliminating again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import add, index, mul, neg
+
+from .value import Value
 
 
 def _eye(n):
@@ -182,17 +183,19 @@ class IntMatrix:
         return f"IntMatrix({self.to_rows()})"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Value):
     """Smith normal form S = U @ A @ V with |det U| = |det V| = 1.
 
     S is diagonal with nonnegative entries, each dividing the next, and
     zeros trailing.
     """
 
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
+    __slots__ = _fields = ("u", "s", "v")
+
+    def __init__(self, u: IntMatrix, s: IntMatrix, v: IntMatrix):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "v", v)
 
     @property
     def diagonal(self):
@@ -200,28 +203,28 @@ class SmithDecomposition:
         return tuple(self.s[i, i] for i in range(n))
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Value):
     """A finitely generated abelian group in invariant-factor form.
 
     Z^free_rank x Z/d1 x ... x Z/dk with every di >= 2 and di | d(i+1).
     Equal groups always have equal field values.
     """
 
-    free_rank: int
-    torsion: tuple = ()
+    __slots__ = _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "free_rank", index(self.free_rank))
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple = ()):
+        free_rank = index(free_rank)
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        object.__setattr__(self, "torsion", tuple(map(index, self.torsion)))
-        for d in self.torsion:
+        torsion = tuple(map(index, torsion))
+        for d in torsion:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @classmethod
     def trivial(cls):

@@ -11,8 +11,6 @@ orbit-stabilizer theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cohomology import (GLattice, GLatticeMap, coset_permutations,
                          permutation_lattice)
 from .errors import (IncompatibleModulesError, MalformedSubgroupError,
@@ -20,10 +18,10 @@ from .errors import (IncompatibleModulesError, MalformedSubgroupError,
 from .fans import GFan, _checked_cone, _valid_subfan, is_smooth_cone, ray_orbits
 from .groups import FiniteGroup, Subgroup
 from .linalg import IntMatrix, _coords_in_basis, _matmul, _transpose
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FanMorphism:
+class FanMorphism(Value):
     """An equivariant lattice map carrying one fan into another.
 
     The matrix maps the cocharacter lattice of the source fan to that of
@@ -32,11 +30,12 @@ class FanMorphism:
     cone.
     """
 
-    source: GFan
-    target: GFan
-    matrix: IntMatrix
+    __slots__ = _fields = ("source", "target", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, source: GFan, target: GFan, matrix: IntMatrix):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
         GLatticeMap(self.source.action, self.target.action, self.matrix)
         forms = [self.target.cone_form(c) for c in self.target.maximal_cones()]
         for cone in self.source.cones:
@@ -50,8 +49,7 @@ class FanMorphism:
         return self.matrix.apply(point)
 
 
-@dataclass(frozen=True)
-class AffineStructure:
+class AffineStructure(Value):
     """Descent data of the affine patch of a stable cone.
 
     res_factors lists the stabilizer of one ray per orbit of the cone's
@@ -60,9 +58,12 @@ class AffineStructure:
     divisor_module is the permutation lattice on the cone's rays.
     """
 
-    res_factors: tuple
-    units: GLattice
-    divisor_module: GLattice
+    __slots__ = _fields = ("res_factors", "units", "divisor_module")
+
+    def __init__(self, res_factors: tuple, units: GLattice, divisor_module: GLattice):
+        object.__setattr__(self, "res_factors", res_factors)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "divisor_module", divisor_module)
 
 
 def is_pure_divisorial(fan: GFan) -> bool:
@@ -196,13 +197,15 @@ def divisor_map(fan: GFan) -> GLatticeMap:
                        matrix=ray_matrix(fan))
 
 
-@dataclass(frozen=True)
-class TropicalCheckResult:
+class TropicalCheckResult(Value):
     """Outcome of the support lattice-point comparison."""
 
-    passed: bool
-    uncovered: tuple
-    unexpected: tuple
+    __slots__ = _fields = ("passed", "uncovered", "unexpected")
+
+    def __init__(self, passed: bool, uncovered: tuple, unexpected: tuple):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "uncovered", uncovered)
+        object.__setattr__(self, "unexpected", unexpected)
 
     def __bool__(self):
         return self.passed

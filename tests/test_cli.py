@@ -492,3 +492,11 @@ def test_the_command_line_runs_without_numpy(capsys, monkeypatch):
 def test_importing_the_command_line_imports_no_numpy():
     proc = _run_python("-c", "import torika.cli, sys; assert 'numpy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_command_line_builds_no_dataclasses():
+    # -S: the interpreter's site module may import typing by itself
+    proc = _run_python("-S", "-c", "import torika.cli, sys; print(sorted("
+                       "{'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

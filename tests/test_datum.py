@@ -130,6 +130,10 @@ MALFORMED_FIELDS = {
                       "field 'group.table' must be a list of rows"),
     "action_extra_key": ({"action": {"generators": {"1": [[-1]]}, "extra": 1}},
                          "field 'action': unknown keys ['extra']"),
+    "group_extra_key": ({"group": {"order": 2, "table": [[0, 1], [1, 0]], "extra": 1}},
+                        "field 'group': unknown keys ['extra']"),
+    "group_name_key": ({"group": {"order": 2, "table": [[0, 1], [1, 0]], "name": "C2"}},
+                       "field 'group': unknown keys ['name']"),
 }
 
 
