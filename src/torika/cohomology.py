@@ -21,8 +21,8 @@ w, so maps induced on H^2 read target coordinates by one product.
 A kernel on H^2 is a set of congruences mod n on the source's cocycle
 coordinates, read off one more Smith form (`_congruence_quotient`).
 The bar resolution survives only as `coboundary_matrix`, an independent
-route for checks.  `GLattice` checks an action on the same graph's
-|G||S| edges, which implies the group law and unimodularity.
+route for checks.  `_walk_action` builds and proves an action on the
+same graph: one product per edge implies the group law and unimodularity.
 """
 
 from __future__ import annotations
@@ -57,11 +57,8 @@ RANK_LIMIT = 16
 class GLattice(Value):
     """A free Z-module of finite rank with a linear action of a finite group.
 
-    `action[g]` is the matrix of g.  Construction checks that e acts as
-    I and action[g] @ action[s] = action[gs] for every g and every s in
-    `group.generating_set`: by induction on word length that is the
-    group law, and g g^-1 = e then makes every matrix unimodular.  A
-    failure names the first failing pair (g, h) in row-major order.
+    `action[g]` is the matrix of g.  Construction checks that e acts as I and
+    proves the rest on the walk over `group.generating_set` (`_walk_action`).
     """
 
     __slots__ = _fields = ("group", "rank", "action")
@@ -74,23 +71,18 @@ class GLattice(Value):
         if self.rank < 0:
             raise ValueError("negative rank")
         if len(mats) != self.group.order:
-            raise ValueError(
-                f"need one action matrix per element, got {len(mats)} for order {self.group.order}"
-            )
+            raise ValueError(f"need one action matrix per element, "
+                             f"got {len(mats)} for order {self.group.order}")
         for g, m in enumerate(mats):
             if m.shape != (self.rank, self.rank):
                 raise ValueError(f"action of element {g} is not {self.rank}x{self.rank}")
         if mats[self.group.identity] != IntMatrix.identity(self.rank):
             raise ValueError("identity element must act as the identity matrix")
-        for s in self.group.generating_set:
-            if any(m @ mats[s] != mats[self.group.mul(g, s)] for g, m in enumerate(mats)):
-                g, h = next((g, h) for g, h in product(range(len(mats)), repeat=2)
-                            if mats[g] @ mats[h] != mats[self.group.mul(g, h)])
-                raise ValueError(f"action is not a homomorphism at ({g}, {h})")
+        _walk_action(self.group, mats, self.group.generating_set)
 
     @classmethod
     def _adopt(cls, group, rank, action):
-        """Wrap matrices built from checked lattices: they inherit the proof."""
+        """Wrap matrices proved elsewhere: from checked lattices, or by `_walk_action`."""
         lattice = object.__new__(cls)
         object.__setattr__(lattice, "group", group)
         object.__setattr__(lattice, "rank", rank)
@@ -120,6 +112,28 @@ class GLattice(Value):
             IntMatrix._adopt([r + right for r in a._r] + [left + r for r in b._r],
                              self.rank + other.rank)
             for a, b in zip(self.action, other.action)))
+
+
+def _walk_action(group: FiniteGroup, mats, gens):
+    """Build and prove an action on `group.cayley_walk(gens)`, one product
+    M(g)M(s) per edge: it is M(gs) where mats[gs] is still None (a tree
+    edge), and is compared with M(gs) elsewhere.  If M(e) = I and every
+    edge over G holds, M is a homomorphism by induction on word length,
+    and M(g)M(g^-1) = I makes it unimodular.  A failed edge stops the
+    comparing, not the tree, so that the first failing pair can be named."""
+    failed = False
+    for g, j, h, _ in group.cayley_walk(gens):
+        if mats[h] is None:
+            mats[h] = mats[g] @ mats[gens[j]]
+        elif not failed:
+            failed = mats[g] @ mats[gens[j]] != mats[h]
+    missing = [g for g, m in enumerate(mats) if m is None]
+    if missing:
+        raise ValueError(f"generators do not generate the group; unreached elements {missing}")
+    if failed:
+        g, h = next((g, h) for g, h in product(range(len(mats)), repeat=2)
+                    if mats[g] @ mats[h] != mats[group.mul(g, h)])
+        raise ValueError(f"action is not a homomorphism at ({g}, {h})")
 
 
 def trivial_lattice(group: FiniteGroup, rank: int) -> GLattice:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 
-from .cohomology import GLattice, _check_limits, trivial_lattice
+from .cohomology import GLattice, _check_limits, _walk_action, trivial_lattice
 from .errors import DatumError, TorikaError
 from .fans import GFan, primitive_vector, validate_fan
 from .groups import GROUP_PRESETS, FiniteGroup, group_preset
@@ -113,14 +113,7 @@ def build_group(spec) -> FiniteGroup:
 
 
 def _complete_generator_action(group, rank, gens):
-    """Extend matrices given on generators to the whole group.
-
-    Along a BFS of their Cayley graph (`FiniteGroup.cayley_walk`), a tree
-    edge (g, s) sets the matrix of g*s to that of g times that of s, and
-    reports the elements that the generators never reach.  No other edge
-    is checked: the identity's edges come first, so each generator keeps
-    its matrix, and `GLattice` proves the completion an action or fails.
-    """
+    """The matrices given on generators, {element: matrix}, after the identity's I."""
     _require(isinstance(gens, dict), "field 'action.generators' must map "
              "element indices to matrices")
     given = {group.identity: IntMatrix.identity(rank)}
@@ -135,23 +128,9 @@ def _complete_generator_action(group, rank, gens):
         _require(0 <= g < group.order,
                  f"field 'action': generator {g} is out of range")
         matrix = _parse_matrix(mat, rank, f"field 'action' generator {g}")
-        if not _is_unimodular(matrix):
-            raise DatumError(f"field 'action': the matrix for element {g} "
-                             f"is not unimodular")
-        if g in given and given[g] != matrix:
-            raise DatumError(f"field 'action': element {g} is assigned "
-                             f"two different matrices")
-        given[g] = matrix
-    steps = [g for g in given if g != group.identity]
-    known = {group.identity: given[group.identity]}
-    for g, j, h, tree in group.cayley_walk(steps):
-        if tree:
-            known[h] = known[g] @ given[steps[j]]
-    if len(known) != group.order:
-        missing = sorted(set(group.elements()) - set(known))
-        raise DatumError(f"field 'action': generators do not generate the "
-                         f"group; unreached elements {missing}")
-    return tuple(known[g] for g in group.elements())
+        _require(given.setdefault(g, matrix) == matrix,
+                 f"field 'action': element {g} is assigned two different matrices")
+    return given
 
 
 def build_action(group, rank, spec) -> GLattice:
@@ -159,25 +138,31 @@ def build_action(group, rank, spec) -> GLattice:
     if spec is None:
         return trivial_lattice(group, rank)
     if isinstance(spec, dict):
-        _require("generators" in spec,
-                 "field 'action': expected null, a matrix list, or "
-                 "{'generators': {...}}")
+        _require("generators" in spec, "field 'action': expected null, "
+                 "a matrix list, or {'generators': {...}}")
         unknown = sorted(set(spec) - {"generators"})
         _require(not unknown, f"field 'action': unknown keys {unknown}")
-        matrices = _complete_generator_action(group, rank, spec["generators"])
+        given = _complete_generator_action(group, rank, spec["generators"])
+        mats = [given.get(g) for g in group.elements()]
+        try:  # built and proved on one walk: |G||S'| products
+            _walk_action(group, mats, [g for g in given if g != group.identity])
+            return GLattice._adopt(group, rank, mats)
+        except ValueError as exc:
+            failure, named, what = exc, given.items(), "the matrix for element"
     else:
         _require(isinstance(spec, list) and len(spec) == group.order,
                  f"field 'action' must list one matrix per element "
                  f"({group.order} expected)")
         matrices = tuple(_parse_matrix(m, rank, f"field 'action' element {g}")
                          for g, m in enumerate(spec))
-    try:
-        return GLattice(group, rank, matrices)
-    except ValueError as exc:
-        # unimodularity is checked only to name the first element that fails it
-        bad = next((g for g, m in enumerate(matrices) if not _is_unimodular(m)), None)
-        _require(bad is None, f"field 'action': action of element {bad} is not unimodular")
-        raise DatumError(f"field 'action': {exc}") from None
+        try:
+            return GLattice(group, rank, matrices)
+        except ValueError as exc:
+            failure, named, what = exc, enumerate(matrices), "action of element"
+    # a failed proof: unimodularity is checked only to name the first matrix that fails it
+    bad = next((g for g, m in named if not _is_unimodular(m)), None)
+    _require(bad is None, f"field 'action': {what} {bad} is not unimodular")
+    raise DatumError(f"field 'action': {failure}") from None
 
 
 def _build_datum(doc, *, normalize_rays=False, limits=None) -> ToricDatum:

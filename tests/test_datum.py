@@ -1,6 +1,7 @@
 """Datum files: loading, located errors, round trips."""
 
 import json
+import random
 import re
 import time
 from itertools import permutations
@@ -13,10 +14,11 @@ from torika.datum import (build_action, build_group, datum_from_fan, dump_datum,
                           load_datum, serialize_datum)
 from torika.errors import DatumError
 from torika.fans import validate_fan
-from torika.groups import group_preset
-from torika.linalg import IntMatrix, _is_unimodular
+from torika.groups import GROUP_PRESETS, group_preset
+from torika.linalg import IntMatrix, _coords_in_basis, _eye, _is_unimodular
 
-from conftest import FIXTURE_NAMES, fixture_path, load_fixture
+from conftest import (EXPLICIT_GROUPS, FIXTURE_NAMES, fixture_path, load_fixture,
+                      rand_unimodular)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -104,21 +106,105 @@ def test_group_and_generator_fields_refuse_bad_values():
         build_action(c2, 1, {"generators": {"0": [[-1]]}})
 
 
-def test_generator_completion_multiplies_only_along_the_tree(monkeypatch):
-    # GLattice is the one proof of the action, so the walk takes one
-    # product per element it reaches and checks no other edge
+def _random_action(rng, group):
+    """Z[G/H] for a random cyclic H, with H = 1 (the regular module) drawn
+    twice as often, conjugated by a random unimodular matrix."""
+    module = permutation_module(group, rng.choice(
+        [group.trivial_subgroup()] + group.cyclic_subgroups()))
+    u = rand_unimodular(rng, module.rank)
+    u_inv = IntMatrix(_coords_in_basis(u.to_rows(), _eye(u.rows)))
+    return [u @ m @ u_inv for m in module.action]
+
+
+def _random_generators(rng, group):
+    """The elements, in random order, outside the subgroup generated by
+    those before them: a generating list with no redundant member."""
+    gens = []
+    for g in rng.sample(range(group.order), group.order):
+        if g not in group.generated_subgroup(gens):
+            gens.append(g)
+    return gens
+
+
+def _counted_load(path, monkeypatch):
+    """(action, matrix products, unimodularity tests) of loading a datum."""
     from torika import datum as datum_module
 
-    s3 = group_preset("S3")
-    lattice = permutation_module(s3, s3.trivial_subgroup())
-    gens = {"1": lattice.act(1).to_rows(), "2": lattice.act(2).to_rows()}
-    products = []
+    products, determinants = [], []
     matmul = IntMatrix.__matmul__
     monkeypatch.setattr(IntMatrix, "__matmul__",
                         lambda a, b: products.append(1) or matmul(a, b))
-    matrices = datum_module._complete_generator_action(s3, 6, gens)
-    assert len(products) == s3.order - 1
-    assert matrices == lattice.action
+    monkeypatch.setattr(datum_module, "_is_unimodular",
+                        lambda m: determinants.append(1) or _is_unimodular(m))
+    action = load_datum(str(path)).action
+    monkeypatch.undo()
+    return action, len(products), len(determinants)
+
+
+@pytest.mark.parametrize("group", [group_preset(name) for name in GROUP_PRESETS]
+                         + EXPLICIT_GROUPS, ids=lambda group: group.name)
+def test_generator_and_list_forms_agree_with_one_product_per_edge(
+        tmp_path, monkeypatch, group):
+    # a full list is proved on |G||S| edges, S the group's generating_set;
+    # matrices on generators S' are built and proved on |G||S'| edges,
+    # and neither takes a Smith form when the action holds
+    rng = random.Random(f"{group.name} {group.order}")
+    mats = _random_action(rng, group)
+    gens = _random_generators(rng, group)
+    others = [g for g in group.elements() if g not in gens and g != group.identity]
+    redundant = gens + rng.sample(others, min(2, len(others))) + [group.identity]
+    rng.shuffle(redundant)
+    spec = group.name if group.name in GROUP_PRESETS else {
+        "order": group.order, "table": [list(row) for row in group.table]}
+    forms = {"list": ([m.to_rows() for m in mats], len(group.generating_set))}
+    for name, keys in (("generators", gens), ("redundant", redundant)):
+        forms[name] = ({"generators": {str(g): mats[g].to_rows() for g in keys}},
+                       len([g for g in keys if g != group.identity]))
+    loaded = {}
+    for name, (action, width) in forms.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"group": spec, "lattice_rank": mats[0].rows,
+                                    "action": action, "rays": [], "max_cones": []}))
+        loaded[name], products, determinants = _counted_load(path, monkeypatch)
+        assert (products, determinants) == (group.order * width, 0), name
+    assert loaded["generators"] == loaded["redundant"] == loaded["list"]
+    assert loaded["list"].action == tuple(mats)
+
+
+def test_a_wide_generator_action_loads_in_one_walk(tmp_path, monkeypatch):
+    # C6 on Z^200 by block cyclic shifts: one dense product per element
+    rank = 200
+    shift = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        block, k = divmod(i, 6)
+        shift[i if block == rank // 6 else 6 * block + (k + 1) % 6][i] = 1
+    path = tmp_path / "wide_generators.json"
+    path.write_text(json.dumps({"group": "C6", "lattice_rank": rank,
+                                "action": {"generators": {"1": shift}},
+                                "rays": [], "max_cones": []}))
+    start = time.perf_counter()
+    action, products, determinants = _counted_load(path, monkeypatch)
+    assert time.perf_counter() - start < 20.0
+    assert (products, determinants) == (6, 0)
+    assert action.act(3) @ action.act(3) == IntMatrix.identity(rank) != action.act(3)
+
+
+@pytest.mark.parametrize("group, rank, gens, message", [
+    # a good first generator does not hide a singular second one
+    ("C2xC2", 2, {"1": [[-1, 0], [0, 1]], "2": [[2, 0], [0, 1]]},
+     "the matrix for element 2 is not unimodular"),
+    # a singular generator that also fails to generate is named as singular
+    ("C6", 2, {"2": [[0, -1], [1, -1]], "4": [[2, 0], [0, 1]]},
+     "the matrix for element 4 is not unimodular"),
+    # the identity's matrix is I, so another unimodular one is a second matrix
+    ("C2", 1, {"1": [[-1]], "0": [[-1]]}, "element 0 is assigned two different matrices"),
+    # keys and matrices are read before any matrix is tested
+    ("C2", 1, {"1": [[2]], "x": [[1]]}, "generator key 'x' is not an element index"),
+])
+def test_generator_refusals_keep_their_precedence(group, rank, gens, message):
+    with pytest.raises(DatumError) as err:
+        build_action(group_preset(group), rank, {"generators": gens})
+    assert str(err.value) == f"field 'action': {message}"
 
 
 C2_DOC = {"group": "C2", "lattice_rank": 1, "rays": [[1]], "max_cones": [[0]]}
@@ -284,9 +370,9 @@ def test_full_action_lists_take_determinants_only_to_name_a_failure(monkeypatch)
     singular = spec[:4] + [[[2 * x for x in row] for row in spec[4]]] + spec[5:]
     with pytest.raises(DatumError, match="action of element 4 is not unimodular"):
         build_action(s3, 6, singular)
-    calls.clear()  # generator matrices are still checked, one each
+    calls.clear()  # nor do matrices given on generators
     gens = {"1": spec[1], "2": spec[2], "4": spec[4]}
-    assert build_action(s3, 6, {"generators": gens}) == lattice and len(calls) == 3
+    assert build_action(s3, 6, {"generators": gens}) == lattice and not calls
 
 
 def test_normalize_rays():
