@@ -187,6 +187,8 @@ def _inputs(args):
         return ((path, load_datum(path, normalize_rays=args.normalize_rays,
                                   require_valid=args.command != "validate"))
                 for path in args.files)
+    if args.splitting_group is not None and args.lattice is None:
+        raise TorikaError("--splitting-group needs --lattice")
     # H^0 builds no d^1, so it takes no size guard
     limits = (args.order_limit, args.rank_limit) if args.degree else None
     jobs = [] if args.lattice is None else [("<inline>", _inline_lattice(args, limits))]

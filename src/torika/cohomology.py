@@ -82,7 +82,8 @@ class GLattice(Value):
 
     @classmethod
     def _adopt(cls, group, rank, action):
-        """Wrap matrices proved elsewhere: from checked lattices, or by `_walk_action`."""
+        """Wrap matrices that internal code derived from checked values, or
+        proved by `_walk_action`: outside input goes through `__init__`."""
         lattice = object.__new__(cls)
         object.__setattr__(lattice, "group", group)
         object.__setattr__(lattice, "rank", rank)
@@ -144,15 +145,13 @@ def trivial_lattice(group: FiniteGroup, rank: int) -> GLattice:
 
 
 def permutation_lattice(group: FiniteGroup, perms) -> GLattice:
-    """Z^k on which element g sends basis vector i to basis vector perms[g][i]."""
+    """Z^k on which g sends basis vector i to perms[g][i], adopted: each caller
+    derives `perms` as an action, on the cosets of a checked subgroup or on
+    the rays of a valid fan or of its stable cone, so no products prove it."""
     k = len(perms[0])
-    mats = []
-    for perm in perms:
-        m = [[0] * k for _ in range(k)]
-        for i, j in enumerate(perm):
-            m[j][i] = 1
-        mats.append(IntMatrix(m, cols=k))
-    return GLattice(group, k, tuple(mats))
+    eye = IntMatrix.identity(k)._r  # row j of g's matrix is e_i, perms[g][i] = j
+    return GLattice._adopt(group, k, [IntMatrix._adopt(
+        [eye[i] for i in sorted(range(k), key=perm.__getitem__)], k) for perm in perms])
 
 
 def coset_permutations(group: FiniteGroup, subgroup: Subgroup):

@@ -83,7 +83,7 @@ def _parse_matrix(data, rank, what):
         _require(isinstance(row, list) and len(row) == rank,
                  f"{what} row {i} must have {rank} entries")
         rows.append([_as_int(x, f"{what} entry") for x in row])
-    return IntMatrix(rows) if rank else IntMatrix.zeros(0, 0)
+    return IntMatrix._adopt(rows, rank)  # every entry and row length checked above
 
 
 def build_group(spec) -> FiniteGroup:

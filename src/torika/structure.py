@@ -99,13 +99,13 @@ def affine_structure(fan: GFan, cone) -> AffineStructure:
         raise ValueError(f"cone {cone.rays} is not smooth")
     # a stable cone is a union of whole ray orbits
     factors = [stab for orbit, stab in ray_orbits(fan) if orbit[0] in cone]
-    # units: characters vanishing on the cone, with the dual action; the
-    # cone form's normals are a basis of them
+    # units: the dual action on the characters vanishing on the stable cone, in
+    # the basis of its normals, adopted: `_coords_in_basis` refuses an image outside
     normals = fan.cone_form(cone).normals
     basis = _transpose(normals, fan.rank)
     dual = fan.action.dual()
-    units = GLattice(fan.group, len(normals), tuple(
-        IntMatrix(_coords_in_basis(basis, _matmul(dual.act(g)._r, basis)), cols=len(normals))
+    units = GLattice._adopt(fan.group, len(normals), (
+        IntMatrix._adopt(_coords_in_basis(basis, _matmul(dual.act(g)._r, basis)), len(normals))
         for g in fan.group.elements()))
     # divisor module: permutation lattice on the cone's rays
     index_of = {ray: pos for pos, ray in enumerate(cone.rays)}
@@ -180,8 +180,9 @@ def ray_permutation_lattice(fan: GFan) -> GLattice:
 
 
 def ray_matrix(fan: GFan) -> IntMatrix:
-    """The matrix whose row r is the generator of ray r."""
-    return IntMatrix([r.generator for r in fan.rays], cols=fan.rank)
+    """The matrix whose row r is the generator of ray r: the `Ray`s of a
+    valid fan (each caller's) hold `fan.rank` ints, so it is adopted."""
+    return IntMatrix._adopt([r.generator for r in fan.rays], fan.rank)
 
 
 def divisor_map(fan: GFan) -> GLatticeMap:

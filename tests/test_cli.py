@@ -220,6 +220,12 @@ def test_cohomology_lattice_without_group(capsys):
     assert "--splitting-group" in err
 
 
+def test_cohomology_group_without_lattice(capsys):
+    # the flag names an inline lattice's group; a datum brings its own
+    assert run(capsys, "cohomology", "--splitting-group", "C2", fixture_path("p2")) == (
+        1, "", "torika: --splitting-group needs --lattice\n")
+
+
 @pytest.mark.parametrize("spec, says", [
     ('{"rank": 2.7}', "field 'rank' must be an integer, got 2.7"),
     ('{"rank": true}', "field 'rank' must be an integer, got True"),

@@ -42,8 +42,9 @@ from torika.linalg import (FinAbGroup, IntMatrix, _cokernel_array,
 from torika.structure import (divisor_map, pure_divisorial_truncation,
                               standard_fan)
 
-from conftest import (EXPLICIT_GROUPS, FIXTURE_NAMES, cyclic_lattice,
-                      load_fixture, rand_unimodular, random_equivariant_map)
+from conftest import (EXPLICIT_GROUPS, FIXTURE_NAMES, coxeter_b3_fan,
+                      cyclic_lattice, load_fixture, rand_unimodular,
+                      random_equivariant_map)
 from linalg_oracles import (array_matmul, as_array, bareiss_det, column_kernel,
                             eye_array)
 
@@ -103,6 +104,37 @@ def test_permutation_module_shapes():
     assert permutation_module(s3, h).rank == 3
     with pytest.raises(IncompatibleModulesError, match="subgroup belongs to a different group"):
         coset_permutations(C2, s3.trivial_subgroup())
+
+
+def counted_products(monkeypatch, build):
+    """(build(), the number of IntMatrix products it made)."""
+    products = []
+    matmul = IntMatrix.__matmul__
+    with monkeypatch.context() as patch:
+        patch.setattr(IntMatrix, "__matmul__",
+                      lambda a, b: products.append(1) or matmul(a, b))
+        built = build()
+    return built, len(products)
+
+
+def assert_proved_the_same(lattice):
+    """The proving constructor accepts an adopted lattice and rebuilds it."""
+    assert GLattice(lattice.group, lattice.rank, lattice.action) == lattice
+
+
+@pytest.mark.parametrize("group", [group_preset(name) for name in GROUP_PRESETS]
+                         + EXPLICIT_GROUPS + [coxeter_b3_fan().group],
+                         ids=lambda group: group.name)
+def test_permutation_modules_are_adopted_without_a_product(monkeypatch, group):
+    # G permutes the cosets of a checked subgroup, so Z[G/H] needs no proof:
+    # the W(B3) regular module alone was 240 dense 48x48 products
+    subgroups = [group.trivial_subgroup(), group.full_subgroup()] + group.cyclic_subgroups()
+    modules, products = counted_products(
+        monkeypatch, lambda: [permutation_module(group, h) for h in subgroups])
+    assert products == 0
+    for h, module in zip(subgroups, modules):
+        assert module.rank == group.order // h.order
+        assert_proved_the_same(module)
 
 
 def test_h0_invariants():

@@ -221,6 +221,20 @@ MALFORMED_FIELDS = {
     "group_name_key": ({"group": {"order": 2, "table": [[0, 1], [1, 0]], "name": "C2"}},
                        "field 'group': unknown keys ['name']"),
 }
+# every action entry and row length is checked as it is parsed, in the list
+# and the generator form, so the parsed matrices need no second check
+MALFORMED_FIELDS.update({
+    f"action_{form}_{name}": (
+        {"lattice_rank": 2, "rays": [[1, 0]], "action": (
+            [[[1, 0], [0, 1]], [[0, 1], row]] if form == "list"
+            else {"generators": {"1": [[0, 1], row]}})},
+        f"field 'action' {what} {says}")
+    for form, what in (("list", "element 1"), ("generators", "generator 1"))
+    for name, row, says in (
+        ("true", [1, True], "entry must be an integer, got True"),
+        ("float", [1, 1.5], "entry must be an integer, got 1.5"),
+        ("string", [1, "1"], "entry must be an integer, got '1'"),
+        ("ragged", [1], "row 1 must have 2 entries"))})
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_FIELDS))

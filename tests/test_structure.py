@@ -9,21 +9,23 @@ from torika.cohomology import (GLattice, permutation_module,
                                trivial_lattice)
 from torika.errors import (IncompatibleModulesError, MalformedSubgroupError,
                            NotDescendableError)
-from torika.fans import GFan, orbit_count
+from torika.fans import GFan, is_smooth_cone, orbit_count, ray_orbits
 from torika.groups import (GROUP_PRESETS, Subgroup, cyclic_group,
                            symmetric_group_3, trivial_group)
 from torika.linalg import IntMatrix
 from torika.structure import (AffineStructure, FanMorphism, affine_structure,
                               character_lattice, divisor_map,
                               is_pure_divisorial, pure_divisorial_truncation,
-                              pure_divisorial_support,
+                              pure_divisorial_support, ray_matrix,
                               ray_permutation_lattice, rho_map, standard_fan,
                               TropicalCheckResult, tropical_int_check)
 
 from conftest import (EXPLICIT_GROUPS, FIXTURE_NAMES, PURE_DIVISORIAL_FIXTURES,
-                      bench_data, load_fixture, random_smooth_fan)
+                      bench_data, coxeter_b3_fan, load_fixture,
+                      permutohedral_a3_fan, random_smooth_fan)
 from test_brauer_oracle import _character_fan
-from test_cohomology import DIFFERENTIAL_GROUPS, _product_fan
+from test_cohomology import (DIFFERENTIAL_GROUPS, _product_fan,
+                             assert_proved_the_same, counted_products)
 
 C2 = cyclic_group(2)
 A2 = GFan.from_max_cones(2, [(1, 0), (0, 1)], [(0, 1)])
@@ -208,6 +210,30 @@ def test_divisor_map_no_rays():
 def test_ray_permutation_lattice():
     lat = ray_permutation_lattice(load_fixture("sign_rank1").fan)
     assert lat.act(1) == IntMatrix([[0, 1], [1, 0]])
+
+
+VALID_FANS = dict({name: lambda name=name: load_fixture(name).fan for name in FIXTURE_NAMES},
+                      coxeter_b3=coxeter_b3_fan, permutohedral_a3=permutohedral_a3_fan)
+
+
+@pytest.mark.parametrize("name", sorted(VALID_FANS))
+def test_lattices_derived_from_a_valid_fan_are_adopted_without_a_product(monkeypatch, name):
+    # G permutes the rays of a valid fan, the cosets of its ray stabilizers
+    # and the rays of a stable cone, and acts on the characters vanishing on
+    # that cone: every lattice built from them is an action with no proof
+    fan = VALID_FANS[name]()
+    orbits = ray_orbits(fan)  # validated, with its ray permutations, first
+    stable = [c for c in fan.cones if is_smooth_cone(fan, c) and all(
+        {perm[i] for i in c.rays} == set(c.rays) for perm in fan.ray_permutations())]
+    (rays, standard, patches), products = counted_products(monkeypatch, lambda: (
+        ray_permutation_lattice(fan), standard_fan(fan.group, [h for _, h in orbits]),
+        [affine_structure(fan, c) for c in stable]))
+    assert products == 0
+    assert stable and standard.rank == len(fan.rays)
+    for lattice in [rays, standard.action] + [
+            lattice for patch in patches for lattice in (patch.units, patch.divisor_module)]:
+        assert_proved_the_same(lattice)
+    assert ray_matrix(fan) == IntMatrix([r.generator for r in fan.rays], cols=fan.rank)
 
 
 def test_transpose_duality_pairing():
