@@ -201,19 +201,30 @@ def _inputs(args):
     return jobs
 
 
+def _internal(exc) -> str:
+    """A bug in one line: the report stage it broke, if any, and the error."""
+    where = f" in {exc.torika_stage}" if hasattr(exc, "torika_stage") else ""
+    return f"internal error{where}: {type(exc).__name__}: {' '.join(str(exc).split())}"
+
+
 @contextmanager
 def _located(label, args):
-    """Name a size refusal's input, and only a flag this command has."""
+    """Name the input of a failed stage, a bug or a size refusal; a refusal
+    names only a flag this command has."""
     try:
         yield
     except (ResourceLimitError, StageError) as exc:
         refused = getattr(exc, "original", exc)
         if not isinstance(refused, ResourceLimitError):
-            raise
+            raise TorikaError(f"{label}: {exc}") from None
         stage = f"{exc.stage}: " if exc is not refused else ""
         how = (f"; raise it with --{refused.limit}-limit"
                if refused.limit and hasattr(args, f"{refused.limit}_limit") else "")
         raise TorikaError(f"{label}: {stage}{refused.refusal}{how}") from None
+    except (TorikaError, ValueError):
+        raise
+    except Exception as exc:
+        raise TorikaError(f"{label}: {_internal(exc)}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -271,11 +282,7 @@ def main(argv=None) -> int:
         print(f"torika: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a bug, still reported without a traceback
-        detail = " ".join(str(exc).split())
-        stage = getattr(exc, "torika_stage", None)
-        where = f" in {stage}" if stage else ""
-        print(f"torika: internal error{where}: {type(exc).__name__}: {detail}",
-              file=sys.stderr)
+        print(f"torika: {_internal(exc)}", file=sys.stderr)
         return 1
 
 

@@ -65,9 +65,7 @@ class GLattice(Value):
 
     def __init__(self, group: FiniteGroup, rank: int, action: tuple):
         mats = tuple(action)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "action", mats)
+        Value.__init__(self, group, rank, mats)
         if self.rank < 0:
             raise ValueError("negative rank")
         if len(mats) != self.group.order:
@@ -85,9 +83,7 @@ class GLattice(Value):
         """Wrap matrices that internal code derived from checked values, or
         proved by `_walk_action`: outside input goes through `__init__`."""
         lattice = object.__new__(cls)
-        object.__setattr__(lattice, "group", group)
-        object.__setattr__(lattice, "rank", rank)
-        object.__setattr__(lattice, "action", tuple(action))
+        Value.__init__(lattice, group, rank, tuple(action))
         return lattice
 
     def act(self, g) -> IntMatrix:
@@ -176,9 +172,7 @@ class GLatticeMap(Value):
     __slots__ = _fields = ("source", "target", "matrix")
 
     def __init__(self, source: GLattice, target: GLattice, matrix: IntMatrix):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
+        Value.__init__(self, source, target, matrix)
         if self.source.group != self.target.group:
             raise IncompatibleModulesError("source and target have different groups")
         if self.matrix.shape != (self.target.rank, self.source.rank):
@@ -196,28 +190,21 @@ class GLatticeMap(Value):
 class CohomologyResult(Value):
     """H^degree of a lattice, with its presentation kept around.
 
-    `cocycles` has the basis of the cocycle lattice as columns (inside
-    the cochain space L^S of the Cayley-graph presentation);
-    `boundaries` expresses the coboundary generators in that basis, so
-    the group is Z^k modulo its column span.  For degree 2 both live in
-    L^S: the cocycles are the f with d^1 f = 0 mod |G|, the boundaries
-    generate Z^1 + |G| L^S, and the boundary matrix is diagonal.  Degree 2
-    also keeps `_coords` = (w, lifts) from the Smith form of d^1: a
-    cocycle f has coordinates (w @ f) / lifts in the `cocycles` basis.
-    Equality and the repr leave `_coords` out.
+    Fields degree, coefficients, group, cocycles, boundaries and the
+    optional _coords.  `cocycles` has the basis of the cocycle lattice
+    as columns (inside the cochain space L^S of the Cayley-graph
+    presentation); `boundaries` expresses the coboundary generators in
+    that basis, so the group is Z^k modulo its column span.  For degree
+    2 both live in L^S: the cocycles are the f with d^1 f = 0 mod |G|,
+    the boundaries generate Z^1 + |G| L^S, and the boundary matrix is
+    diagonal.  Degree 2 also keeps `_coords` = (w, lifts) from the Smith
+    form of d^1: a cocycle f has coordinates (w @ f) / lifts in the
+    `cocycles` basis.  Equality and the repr leave `_coords` out.
     """
 
     _fields = ("degree", "coefficients", "group", "cocycles", "boundaries")
     __slots__ = _fields + ("_coords",)
-
-    def __init__(self, degree: int, coefficients: GLattice, group: FinAbGroup,
-                 cocycles: IntMatrix, boundaries: IntMatrix, _coords: tuple = None):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "cocycles", cocycles)
-        object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "_coords", _coords)
+    _defaults = {"_coords": None}
 
 
 def _check_limits(group, rank, order_limit=ORDER_LIMIT, rank_limit=RANK_LIMIT,
@@ -413,18 +400,12 @@ def _apply_blockwise(fmap: GLatticeMap, vectors, blocks):
 class InducedCohomologyMap(Value):
     """A map H^n -> H^n written between retained presentations.
 
-    `matrix` sends cocycle coordinates of the source to cocycle
-    coordinates of the target; it is well defined modulo the target's
-    boundary columns.
+    Fields source, target (the two CohomologyResults) and matrix, which
+    sends cocycle coordinates of the source to cocycle coordinates of the
+    target; it is well defined modulo the target's boundary columns.
     """
 
     __slots__ = _fields = ("source", "target", "matrix")
-
-    def __init__(self, source: CohomologyResult, target: CohomologyResult,
-                 matrix: IntMatrix):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
 
 
 def _h2_of(lattice, result):

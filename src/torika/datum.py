@@ -30,14 +30,9 @@ from .value import Value
 
 
 class ToricDatum(Value):
-    """A named fan description, as loaded from (or written to) a file."""
+    """Fields name, group_spec and fan: a named fan as loaded from (or written to) a file."""
 
     __slots__ = _fields = ("name", "group_spec", "fan")
-
-    def __init__(self, name: str, group_spec: object, fan: GFan):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "group_spec", group_spec)
-        object.__setattr__(self, "fan", fan)
 
     @property
     def group(self) -> FiniteGroup:
@@ -203,7 +198,7 @@ def _build_datum(doc, *, normalize_rays=False, limits=None) -> ToricDatum:
                  f"max_cones entry {i} lists {k} rays, more than "
                  f"lattice_rank {rank}, so its generators are linearly dependent")
     fan = GFan.from_max_cones(rank, rays, cones, action=action)
-    return ToricDatum(name=name, group_spec=doc["group"], fan=fan)
+    return ToricDatum(name, doc["group"], fan)
 
 
 def load_datum(path, *, normalize_rays=False, require_valid=True,
@@ -262,7 +257,7 @@ def serialize_datum(datum: ToricDatum) -> dict:
 
 def datum_from_fan(fan: GFan, name: str = "") -> ToricDatum:
     """Wrap an existing fan as a datum, deriving the group description."""
-    return ToricDatum(name=name, group_spec=_serialize_group(fan.group), fan=fan)
+    return ToricDatum(name, _serialize_group(fan.group), fan)
 
 
 def dump_datum(datum: ToricDatum) -> str:

@@ -28,7 +28,7 @@ class Ray(Value):
     __slots__ = _fields = ("generator",)
 
     def __init__(self, generator: tuple):
-        object.__setattr__(self, "generator", tuple(map(index, generator)))
+        Value.__init__(self, tuple(map(index, generator)))
 
     @property
     def max_norm(self):
@@ -46,7 +46,7 @@ class Cone(Value):
     __slots__ = _fields = ("rays",)
 
     def __init__(self, rays: tuple = ()):
-        object.__setattr__(self, "rays", tuple(sorted(set(map(index, rays)))))
+        Value.__init__(self, tuple(sorted(set(map(index, rays)))))
 
     def __len__(self):
         return len(self.rays)
@@ -68,19 +68,14 @@ def _as_cone(c):
 class ConeForm(Value):
     """One Smith form u G v = S of a cone's generator matrix G (k x n).
 
-    G is independent iff k d_i are nonzero, smooth iff all are 1.  If it
-    is independent, normals are the columns of v[:, k:], orthogonal to
-    G's rows, and duals those of L = v[:, :k] diag(d_k/d_i) u: G L = d_k I.
+    Fields independent, smooth, and the optional normals and duals.  G is
+    independent iff k d_i are nonzero, smooth iff all are 1.  If it is
+    independent, normals are the columns of v[:, k:], orthogonal to G's
+    rows, and duals those of L = v[:, :k] diag(d_k/d_i) u: G L = d_k I.
     """
 
     __slots__ = _fields = ("independent", "smooth", "normals", "duals")
-
-    def __init__(self, independent: bool, smooth: bool, normals: tuple = (),
-                 duals: tuple = ()):
-        object.__setattr__(self, "independent", independent)
-        object.__setattr__(self, "smooth", smooth)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "duals", duals)
+    _defaults = {"normals": (), "duals": ()}
 
     @classmethod
     def of(cls, generators, n):
@@ -127,12 +122,8 @@ class GFan(Value):
 
     def __init__(self, rank: int, rays: tuple, cones: tuple, action: GLattice,
                  _cache: dict = None):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "rays", tuple(
-            r if isinstance(r, Ray) else Ray(r) for r in rays))
-        object.__setattr__(self, "cones", tuple(_as_cone(c) for c in cones))
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "_cache", {} if _cache is None else _cache)
+        Value.__init__(self, rank, tuple(r if isinstance(r, Ray) else Ray(r) for r in rays),
+                       tuple(map(_as_cone, cones)), action, {} if _cache is None else _cache)
 
     @classmethod
     def from_max_cones(cls, rank, rays, max_cones, action=None):
@@ -232,10 +223,9 @@ class GFan(Value):
 
 
 class ValidationReport(Value):
-    __slots__ = _fields = ("problems",)
+    """Field problems: the tuple of validate_fan's messages, empty for a valid fan."""
 
-    def __init__(self, problems: tuple):
-        object.__setattr__(self, "problems", problems)
+    __slots__ = _fields = ("problems",)
 
     @property
     def ok(self):

@@ -42,9 +42,6 @@ class FiniteGroup(Value):
     def __init__(self, order, table, identity=-1, name=""):
         n = order
         table = tuple(tuple(map(_index, row)) for row in table)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "name", name)
         if n < 1:
             raise MalformedGroupError("a group needs at least one element")
         if len(table) != n or any(len(row) != n for row in table):
@@ -60,7 +57,8 @@ class FiniteGroup(Value):
                               None) for a, row in enumerate(table))
         if None in inverses:
             raise MalformedGroupError(f"element {inverses.index(None)} has no inverse")
-        object.__setattr__(self, "identity", identity)
+        # the generators come from this group's own walk, so they are set last
+        Value.__init__(self, order, table, identity, name, (), inverses)
         gens = _greedy_generators(self, range(n))
         for s in gens:  # Light's test: (ab)s = a(bs)
             column = [row[s] for row in table]
@@ -69,7 +67,6 @@ class FiniteGroup(Value):
                 if itemgetter(*row)(column) != right(row):
                     b = next(b for b in x if column[row[b]] != row[column[b]])
                     raise MalformedGroupError(f"associativity fails at ({a}, {b}, {s})")
-        object.__setattr__(self, "_inverses", inverses)
         object.__setattr__(self, "generating_set", gens)
 
     def mul(self, a, b):
@@ -160,19 +157,17 @@ class Subgroup(Value):
 
     def __init__(self, parent, elements):
         elems = tuple(sorted(set(map(_index, elements))))
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "elements", elems)
-        wrong = [x for x in elems if not 0 <= x < self.parent.order]
+        wrong = [x for x in elems if not 0 <= x < parent.order]
         if wrong:
             raise MalformedSubgroupError(f"element {wrong[0]} out of range")
-        if self.parent.identity not in elems:
+        if parent.identity not in elems:
             raise MalformedSubgroupError("subgroup must contain the identity")
-        gens = _greedy_generators(self.parent, elems)
+        gens = _greedy_generators(parent, elems)
         member = set(elems)
         for a, b in product(elems, gens):  # the Cayley graph's edges
-            if self.parent.mul(a, b) not in member:
+            if parent.mul(a, b) not in member:
                 raise MalformedSubgroupError(f"subset not closed: {a}*{b} falls outside")
-        object.__setattr__(self, "generating_set", gens)
+        Value.__init__(self, parent, elems, gens)
 
     @property
     def order(self):

@@ -54,29 +54,17 @@ def brauer_kernel(fan: GFan) -> FinAbGroup:
 class InvariantReport(Value):
     """All computed invariants of one fan, bundled.
 
-    The class group, Brauer kernel and tropical check are computed on
-    the pure divisorial truncation whenever the fan has larger cones;
-    orbit data always refers to the fan as given.  splitting_group
-    records the group the cohomology was taken over: the Brauer kernel
-    is relative to that level.  tropical_check is always True: a failed
-    check raises instead.
+    Fields smooth, pure_divisorial, orbit_count, ray_orbit_summary,
+    class_group, brauer_kernel, tropical_check and splitting_group.  The
+    class group, Brauer kernel and tropical check are computed on the pure
+    divisorial truncation whenever the fan has larger cones; orbit data
+    always refers to the fan as given.  splitting_group records the group
+    the cohomology was taken over: the Brauer kernel is relative to that
+    level.  tropical_check is always True: a failed check raises instead.
     """
 
     __slots__ = _fields = ("smooth", "pure_divisorial", "orbit_count", "ray_orbit_summary",
-                           "class_group", "brauer_kernel", "tropical_check",
-                           "splitting_group")
-
-    def __init__(self, smooth: bool, pure_divisorial: bool, orbit_count: int,
-                 ray_orbit_summary: tuple, class_group: FinAbGroup,
-                 brauer_kernel: FinAbGroup, tropical_check: bool, splitting_group: str):
-        object.__setattr__(self, "smooth", smooth)
-        object.__setattr__(self, "pure_divisorial", pure_divisorial)
-        object.__setattr__(self, "orbit_count", orbit_count)
-        object.__setattr__(self, "ray_orbit_summary", ray_orbit_summary)
-        object.__setattr__(self, "class_group", class_group)
-        object.__setattr__(self, "brauer_kernel", brauer_kernel)
-        object.__setattr__(self, "tropical_check", tropical_check)
-        object.__setattr__(self, "splitting_group", splitting_group)
+                           "class_group", "brauer_kernel", "tropical_check", "splitting_group")
 
 
 def _stage(name, thunk):
@@ -113,13 +101,5 @@ def full_report(fan: GFan, bound: int = 5) -> InvariantReport:
     working, cls, brauer = _truncation_invariants(fan)
     tropical = _stage("tropical check",
                       lambda: tropical_int_check(working, bound).passed)
-    return InvariantReport(
-        smooth=smooth,
-        pure_divisorial=pure,
-        orbit_count=orbits,
-        ray_orbit_summary=summary,
-        class_group=cls,
-        brauer_kernel=brauer,
-        tropical_check=tropical,
-        splitting_group=fan.group.name or f"order-{fan.group.order}",
-    )
+    return InvariantReport(smooth, pure, orbits, summary, cls, brauer, tropical,
+                           fan.group.name or f"order-{fan.group.order}")

@@ -186,16 +186,11 @@ class IntMatrix:
 class SmithDecomposition(Value):
     """Smith normal form S = U @ A @ V with |det U| = |det V| = 1.
 
-    S is diagonal with nonnegative entries, each dividing the next, and
-    zeros trailing.
+    Fields u, s, v: the IntMatrix U, S and V.  S is diagonal with
+    nonnegative entries, each dividing the next, and zeros trailing.
     """
 
     __slots__ = _fields = ("u", "s", "v")
-
-    def __init__(self, u: IntMatrix, s: IntMatrix, v: IntMatrix):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "v", v)
 
     @property
     def diagonal(self):
@@ -223,8 +218,7 @@ class FinAbGroup(Value):
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
+        Value.__init__(self, free_rank, torsion)
 
     @classmethod
     def trivial(cls):

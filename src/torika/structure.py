@@ -33,9 +33,7 @@ class FanMorphism(Value):
     __slots__ = _fields = ("source", "target", "matrix")
 
     def __init__(self, source: GFan, target: GFan, matrix: IntMatrix):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
+        Value.__init__(self, source, target, matrix)
         GLatticeMap(self.source.action, self.target.action, self.matrix)
         forms = [self.target.cone_form(c) for c in self.target.maximal_cones()]
         for cone in self.source.cones:
@@ -52,18 +50,14 @@ class FanMorphism(Value):
 class AffineStructure(Value):
     """Descent data of the affine patch of a stable cone.
 
-    res_factors lists the stabilizer of one ray per orbit of the cone's
-    rays (the factors of the etale algebra the patch restricts along);
-    units is the character lattice of the patch's unit torus; and
-    divisor_module is the permutation lattice on the cone's rays.
+    Fields res_factors, units and divisor_module.  res_factors lists the
+    stabilizer of one ray per orbit of the cone's rays (the factors of the
+    etale algebra the patch restricts along); units is the character
+    lattice of the patch's unit torus; and divisor_module is the
+    permutation lattice on the cone's rays.
     """
 
     __slots__ = _fields = ("res_factors", "units", "divisor_module")
-
-    def __init__(self, res_factors: tuple, units: GLattice, divisor_module: GLattice):
-        object.__setattr__(self, "res_factors", res_factors)
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "divisor_module", divisor_module)
 
 
 def is_pure_divisorial(fan: GFan) -> bool:
@@ -199,14 +193,9 @@ def divisor_map(fan: GFan) -> GLatticeMap:
 
 
 class TropicalCheckResult(Value):
-    """Outcome of the support lattice-point comparison."""
+    """Outcome of the support lattice-point comparison: passed, uncovered, unexpected."""
 
     __slots__ = _fields = ("passed", "uncovered", "unexpected")
-
-    def __init__(self, passed: bool, uncovered: tuple, unexpected: tuple):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "uncovered", uncovered)
-        object.__setattr__(self, "unexpected", unexpected)
 
     def __bool__(self):
         return self.passed
@@ -248,4 +237,4 @@ def tropical_int_check(fan: GFan, bound: int) -> TropicalCheckResult:
         raise ValueError("bound must be nonnegative")
     if sorted(_coset_rays(fan)) != list(range(len(fan.rays))):
         raise AssertionError("rho's columns are not the fan's rays, each once")
-    return TropicalCheckResult(passed=True, uncovered=(), unexpected=())
+    return TropicalCheckResult(True, (), ())

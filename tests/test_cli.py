@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from torika import invariants
 from torika.cli import main
 from torika.cohomology import cohomology, trivial_lattice
 from torika.datum import datum_from_fan, load_datum, serialize_datum
-from torika.errors import ResourceLimitError
+from torika.errors import ResourceLimitError, TorikaError
 from torika.groups import group_preset
 from torika.invariants import full_report
 from torika.structure import pure_divisorial_truncation, rho_map
@@ -342,30 +343,32 @@ def test_json_output_is_deterministic(capsys):
 
 @pytest.mark.parametrize("error, line", [
     (AssertionError("unit rank plus divisor rank\nmust equal the fan rank"),
-     "torika: internal error in ray orbits: AssertionError: unit rank plus "
+     "internal error in ray orbits: AssertionError: unit rank plus "
      "divisor rank must equal the fan rank"),
     (KeyError("ray_perms"),
-     "torika: internal error in ray orbits: KeyError: 'ray_perms'"),
+     "internal error in ray orbits: KeyError: 'ray_perms'"),
 ])
 def test_internal_error_is_one_line(capsys, monkeypatch, error, line):
     def broken(fan):
         raise error
 
     monkeypatch.setattr("torika.invariants.ray_orbits", broken)
-    code, out, err = run(capsys, "report", fixture_path("p2"))
+    path = fixture_path("p2")
+    code, out, err = run(capsys, "report", path)
     assert code == 1
     assert out == ""
-    assert err.splitlines() == [line]
+    assert err.splitlines() == [f"torika: {path}: {line}"]
 
 
 def test_coset_ray_mismatch_is_an_internal_error_of_the_tropical_check(
         capsys, monkeypatch):
     # a ray hit twice and one missed: impossible on a valid fan
     monkeypatch.setattr("torika.structure._coset_rays", lambda fan: [0, 0, 2])
-    code, out, err = run(capsys, "report", fixture_path("p2"))
+    path = fixture_path("p2")
+    code, out, err = run(capsys, "report", path)
     assert (code, out) == (1, "")
     assert err.splitlines() == [
-        "torika: internal error in tropical check: AssertionError: "
+        f"torika: {path}: internal error in tropical check: AssertionError: "
         "rho's columns are not the fan's rays, each once"]
 
 
@@ -374,9 +377,30 @@ def test_internal_error_before_any_stage_names_none(capsys, monkeypatch):
         raise KeyError("pure")
 
     monkeypatch.setattr("torika.invariants.is_pure_divisorial", broken)
-    code, out, err = run(capsys, "report", fixture_path("p2"))
+    path = fixture_path("p2")
+    code, out, err = run(capsys, "report", path)
     assert code == 1
-    assert err.splitlines() == ["torika: internal error: KeyError: 'pure'"]
+    assert err.splitlines() == [f"torika: {path}: internal error: KeyError: 'pure'"]
+
+
+@pytest.mark.parametrize("error, line", [
+    (KeyError("x"), "internal error in Brauer kernel: KeyError: 'x'"),
+    (TorikaError("weird"), "Brauer kernel: weird"),
+])
+def test_a_failure_inside_one_input_names_that_input(capsys, monkeypatch, error, line):
+    # the trivial group of p2 passes; the C2 of standard_c2 fails, after p2's report
+    kernel = invariants._shapiro_kernel
+
+    def broken(lattice, *rest):
+        if lattice.group.order > 1:
+            raise error
+        return kernel(lattice, *rest)
+
+    monkeypatch.setattr(invariants, "_shapiro_kernel", broken)
+    first, second = fixture_path("p2"), fixture_path("standard_c2")
+    _, alone, _ = run(capsys, "report", first)
+    assert run(capsys, "report", first, second) == (1, alone, f"torika: {second}: {line}\n")
+    assert run(capsys, "invariants", second) == (1, "", f"torika: {second}: {line}\n")
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_FIELDS))

@@ -1,4 +1,4 @@
-"""The value classes: equality, hashing, read-only fields and reprs.
+"""The value classes: construction, equality, hashing, read-only fields and reprs.
 
 Each maker below builds one value of one public class from scratch, so
 two calls give equal values that are distinct objects.  Fields are
@@ -6,12 +6,15 @@ listed in the order the constructor takes them; `==`, `hash` and the
 generic repr read exactly these, in this order.
 """
 
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
 from conftest import fixture_path
+from torika import value as value_module
 from torika.cohomology import (CohomologyResult, GLattice, GLatticeMap,
                                InducedCohomologyMap, cohomology, induced_h2_map,
                                permutation_module)
@@ -22,6 +25,7 @@ from torika.invariants import InvariantReport, full_report
 from torika.linalg import FinAbGroup, IntMatrix, SmithDecomposition, smith_normal_form
 from torika.structure import (AffineStructure, FanMorphism, TropicalCheckResult,
                               affine_structure, rho_map, tropical_int_check)
+from torika.value import Value
 
 
 def _c2_swap():
@@ -181,3 +185,88 @@ def test_values_of_different_fields_differ():
     assert permutation_module(z4, z4.subgroup([0, 2])) != permutation_module(
         z4, z4.trivial_subgroup())
 
+
+# The plain records: every slot is set by `Value.__init__`, with no checks.
+RECORDS = [AffineStructure, CohomologyResult, ConeForm, InducedCohomologyMap,
+           InvariantReport, SmithDecomposition, ToricDatum, TropicalCheckResult,
+           ValidationReport]
+
+
+def _slot_values(cls):
+    value = VALUES[cls][0]()
+    return value, [getattr(value, name) for name in cls.__slots__]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_have_no_initializer_of_their_own(cls):
+    assert "__init__" not in cls.__dict__
+    assert cls.__init__ is Value.__init__
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_are_built_positionally_by_keyword_and_mixed(cls):
+    value, given = _slot_values(cls)
+    slots = cls.__slots__
+    by_name = dict(zip(slots, given))
+    for built in (cls(*given), cls(**by_name), cls(**dict(reversed(by_name.items()))),
+                  cls(*given[:1], **dict(zip(slots[1:], given[1:]))),
+                  cls(*given[:-1], **{slots[-1]: given[-1]})):
+        assert type(built) is cls and built == value and hash(built) == hash(value)
+        assert all(getattr(built, name) is getattr(value, name) for name in slots)
+
+
+def test_only_the_optional_slots_have_defaults():
+    assert {cls: cls._defaults for cls in CLASSES if cls._defaults} == {
+        ConeForm: {"normals": (), "duals": ()}, CohomologyResult: {"_coords": None}}
+
+
+@pytest.mark.parametrize("cls", [ConeForm, CohomologyResult], ids=lambda cls: cls.__name__)
+def test_records_left_out_slots_take_their_defaults(cls):
+    value, given = _slot_values(cls)
+    kept = {name: x for name, x in zip(cls.__slots__, given) if name not in cls._defaults}
+    first = next(iter(kept))
+    for built in (cls(*kept.values()), cls(**kept),
+                  cls(kept[first], **{k: v for k, v in kept.items() if k != first})):
+        assert {name: getattr(built, name) for name in cls._defaults} == cls._defaults
+        assert all(getattr(built, name) is x for name, x in kept.items())
+    # `_coords` is left out of equality; ConeForm's normals and duals are compared
+    assert (cls(**kept) == value) == (cls is CohomologyResult)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_bad_call_to_a_record_is_a_type_error_naming_the_class(cls):
+    _, given = _slot_values(cls)
+    slots = cls.__slots__
+    required = [name for name in slots if name not in cls._defaults]
+    last = required[-1]
+    calls = {
+        f"missing argument '{last}'": lambda: cls(*given[:len(required) - 1]),
+        f"missing argument '{required[0]}'": lambda: cls(
+            **dict(zip(required[1:], given[1:len(required)]))),
+        "unexpected keyword argument 'not_a_field'": lambda: cls(*given, not_a_field=1),
+        f"multiple values for argument '{slots[0]}'": lambda: cls(*given, **{slots[0]: None}),
+        f"takes {len(slots)} arguments but {len(slots) + 1} were given": lambda: cls(
+            *given, None),
+    }
+    for words, call in calls.items():
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value).startswith(f"{cls.__name__}() ") and words in str(info.value)
+
+
+def test_value_module_generates_no_code():
+    tree = ast.parse(Path(value_module.__file__).read_text())
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not called & {"exec", "eval", "compile"}
+
+
+def test_a_subclass_keeps_the_initializer():
+    class Named(Ray):
+        pass
+
+    class Outcome(TropicalCheckResult):
+        pass
+
+    assert Named([1, 2]).generator == (1, 2)
+    assert Outcome(True, (), unexpected=(3,)).unexpected == (3,)
