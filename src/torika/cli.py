@@ -184,9 +184,7 @@ def _inline_lattice(args, limits):
 def _inputs(args):
     """(label, input) pairs: datums, loaded one by one; lattices, all first."""
     if args.command != "cohomology":
-        return ((path, load_datum(path, normalize_rays=args.normalize_rays,
-                                  require_valid=args.command != "validate"))
-                for path in args.files)
+        return ((path, _loaded(path, args)) for path in args.files)
     if args.splitting_group is not None and args.lattice is None:
         raise TorikaError("--splitting-group needs --lattice")
     # H^0 builds no d^1, so it takes no size guard
@@ -199,6 +197,13 @@ def _inputs(args):
     if not jobs:
         raise TorikaError("cohomology needs a datum file or --lattice")
     return jobs
+
+
+def _loaded(path, args):
+    """The datum at path; a bug while loading it names the file."""
+    with _located(path, args):
+        return load_datum(path, normalize_rays=args.normalize_rays,
+                          require_valid=args.command != "validate")
 
 
 def _internal(exc) -> str:

@@ -73,11 +73,11 @@ def _as_int(value, what):
 def _parse_matrix(data, rank, what):
     _require(isinstance(data, list) and len(data) == rank,
              f"{what} must be a {rank}x{rank} matrix")
-    rows = []
+    rows, entry = [], f"{what} entry"
     for i, row in enumerate(data):
         _require(isinstance(row, list) and len(row) == rank,
                  f"{what} row {i} must have {rank} entries")
-        rows.append([_as_int(x, f"{what} entry") for x in row])
+        rows.append([_as_int(x, entry) for x in row])
     return IntMatrix._adopt(rows, rank)  # every entry and row length checked above
 
 
@@ -181,7 +181,8 @@ def _build_datum(doc, *, normalize_rays=False, limits=None) -> ToricDatum:
     for i, vec in enumerate(raw_rays):
         _require(isinstance(vec, list) and len(vec) == rank,
                  f"ray {i} must be a vector of length {rank}")
-        ray = tuple(_as_int(x, f"ray {i} entry") for x in vec)
+        entry = f"ray {i} entry"
+        ray = tuple(_as_int(x, entry) for x in vec)
         if normalize_rays:
             ray = primitive_vector(ray) if any(ray) else ray
         rays.append(ray)
@@ -190,8 +191,9 @@ def _build_datum(doc, *, normalize_rays=False, limits=None) -> ToricDatum:
     for i, cone in enumerate(cones):
         _require(isinstance(cone, list),
                  f"max_cones entry {i} must be a list of ray indices")
+        entry = f"max_cones entry {i} index"
         for x in cone:
-            _as_int(x, f"max_cones entry {i} index")
+            _as_int(x, entry)
         # refused before from_max_cones builds all 2^k faces of the cone
         k = len(set(cone))
         _require(k <= rank,

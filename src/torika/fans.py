@@ -5,7 +5,7 @@ of cones as sets of ray indices.  All geometry is decided exactly from
 one Smith form per cone and integer kernels, never with floating point.
 The group acts through its generators: their matrices give every ray
 permutation, their cone images prove the action, and a clean action lets
-validation test one pair of maximal cones per orbit.  Validation reports
+validation visit one maximal cone per orbit against the rest.  Validation reports
 every violated condition at once, so malformed input is diagnosed in full.
 """
 
@@ -47,6 +47,13 @@ class Cone(Value):
 
     def __init__(self, rays: tuple = ()):
         Value.__init__(self, tuple(sorted(set(map(index, rays)))))
+
+    @classmethod
+    def _adopt(cls, rays):
+        """Wrap a sorted tuple of distinct ints without normalizing it."""
+        cone = object.__new__(cls)
+        Value.__init__(cone, rays)
+        return cone
 
     def __len__(self):
         return len(self.rays)
@@ -132,10 +139,11 @@ class GFan(Value):
             action = trivial_lattice(trivial_group(), rank)
         closed = {()}
         for cone in max_cones:
-            idx = tuple(sorted(set(cone)))
+            idx = tuple(sorted(set(map(index, cone))))
             for size in range(1, len(idx) + 1):
                 closed.update(combinations(idx, size))
-        cones = tuple(Cone(c) for c in sorted(closed, key=lambda c: (len(c), c)))
+        # each face is a sorted tuple of distinct ints, so it is adopted as is
+        cones = tuple(map(Cone._adopt, sorted(closed, key=lambda c: (len(c), c))))
         return cls(rank, tuple(rays), cones, action)
 
     @property
@@ -289,9 +297,8 @@ def _separated(fan: GFan, c1: Cone, c2: Cone) -> bool:
 def _meet_in_common_face(fan: GFan, c1: Cone, c2: Cone) -> bool:
     """Whether two simplicial cones intersect exactly in their common face.
 
-    Nested cones do.  Two rays do too, as the layout check makes them
-    distinct and primitive, and a ray w against a larger cone sigma does
-    iff w is not in sigma.  Two larger cones try a separating functional
+    Nested cones do, and a ray w against another cone sigma does iff w is
+    not in sigma.  Two larger cones try a separating functional
     (_separated) first.  Without one, write V = [V' | C] and W = [W' | C],
     C the shared rays.  V and W are each independent, so a point V a = W b
     lies in the common face iff a' = 0 and b' = 0, and the shared
@@ -302,7 +309,7 @@ def _meet_in_common_face(fan: GFan, c1: Cone, c2: Cone) -> bool:
     independent: good iff B' t >= 0 has no extreme ray.
     """
     s1, s2 = set(c1.rays), set(c2.rays)
-    if s1 <= s2 or s2 <= s1 or len(c1) == len(c2) == 1:
+    if s1 <= s2 or s2 <= s1:
         return True
     if min(len(c1), len(c2)) == 1:
         ray, sigma = (c1, c2) if len(c1) == 1 else (c2, c1)
@@ -348,27 +355,55 @@ def validate_fan(fan: GFan) -> ValidationReport:
 
 def _bad_pairs(fan: GFan, good, clean):
     """The pairs of good cones that do not meet in their common face, in
-    combinations(good, 2) order.  With a clean action each g is a lattice
-    automorphism of the fan, so (a, b) and (ga, gb) share a verdict: one
-    pair per orbit is tested, its orbit closed under the generators.
-    Otherwise, or when every good cone is a ray, each orbit is one pair."""
-    gens = fan.group.generating_set if clean and any(len(c) > 1 for c in good) else ()
+    combinations(good, 2) order.
+
+    Two rays meet in the zero cone, as the layout check made them distinct
+    and primitive, so no pair of rays is visited.  With a clean action each
+    g is a lattice automorphism of the fan, so (a, b) and (ga, gb) share a
+    verdict, and every orbit of pairs holds a pair that _orbit_pairs
+    visits.  A visited (s, t) with t = gs shares its orbit with
+    (s, g^-1 s), so only the one with the lesser second cone is tested.
+    Only a bad pair's orbit is expanded.  Otherwise each cone is its own
+    orbit, and so is each pair.
+    """
+    if all(len(c) == 1 for c in good):
+        return []
+    group, perms = fan.group, fan.ray_permutations()
+    gens, elements = ((group.generating_set, group.elements()) if clean
+                      else ((), (group.identity,)))
     where = {c.rays: k for k, c in enumerate(good)}
-    perms = fan.ray_permutations()
-    moves = [[where[tuple(sorted(perms[s][i] for i in c.rays))] for c in good]
-             for s in gens]
-    verdict = {}
-    for a, b in combinations(range(len(good)), 2):
-        if (a, b) not in verdict:
-            orbit, verdict[a, b] = [(a, b)], _meet_in_common_face(fan, good[a], good[b])
-            for x, y in orbit:
-                for move in moves:
-                    image = (move[x], move[y]) if move[x] < move[y] else (move[y], move[x])
-                    if image not in verdict:
-                        verdict[image] = verdict[a, b]
-                        orbit.append(image)
-        if not verdict[a, b]:
-            yield good[a], good[b]
+
+    def image(g, k):
+        return where[tuple(sorted(perms[g][i] for i in good[k].rays))]
+    # first[k]: the least cone of k's orbit; carry[k]: an element taking it to k
+    first, carry = {}, {}
+    for k in range(len(good)):
+        if k not in first:
+            first[k], carry[k], orbit = k, group.identity, [k]
+            for x in orbit:
+                for h in gens:
+                    y = image(h, x)
+                    if y not in first:
+                        first[y], carry[y] = k, group.table[h][carry[x]]
+                        orbit.append(y)
+    bad = set()
+    for s, t in _orbit_pairs(good, first):
+        if first[t] == s and image(group.inv(carry[t]), s) < t:
+            continue
+        if not _meet_in_common_face(fan, good[s], good[t]):
+            bad.update(tuple(sorted((image(g, s), image(g, t)))) for g in elements)
+    return [(good[a], good[b]) for a, b in sorted(bad)]
+
+
+def _orbit_pairs(good, first):
+    """The pairs (s, t), s < t, of good cones that _bad_pairs visits: s the
+    least cone of its orbit, first[s] == s, and t in that orbit or a later
+    one, unless both are rays."""
+    for s in range(len(good)):
+        if first[s] == s:
+            for t in range(s + 1, len(good)):
+                if first[t] >= s and (len(good[s]) > 1 or len(good[t]) > 1):
+                    yield s, t
 
 
 def _valid_subfan(fan: GFan, cones) -> GFan:
@@ -429,7 +464,9 @@ def _layout_problems(fan: GFan):
 def _action_problems(fan: GFan):
     """Rays the group sends off the ray set, else cones sent off the fan:
     the elements keeping the cone set form a subgroup, so every element
-    is scanned only when a generator fails."""
+    is scanned only when a generator fails.  A ray's image is a ray once
+    no ray leaves the set, and the zero cone is fixed, so only cones of
+    two or more rays are scanned."""
     perms = fan.ray_permutations()
     problems = [
         f"element {g} sends ray {i} to "
@@ -438,7 +475,7 @@ def _action_problems(fan: GFan):
 
     def cone_problems(elements):
         return [f"element {g} sends cone {c.rays} to {image}, which is not a cone"
-                for g in elements for c in fan.cones
+                for g in elements for c in fan.cones if len(c) > 1
                 for image in [tuple(sorted(perms[g][i] for i in c.rays))]
                 if image not in fan.cone_set()]
     return problems or (cone_problems(fan.group.generating_set)

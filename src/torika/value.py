@@ -2,7 +2,8 @@
 
 A value class names its fields once, in `__slots__`, and in `_fields`
 those that `==`, `hash` and the repr read.  `Value.__init__` sets every
-slot in `__slots__` order from positional or keyword arguments, and a
+slot of the class and its bases, base first and each in `__slots__`
+order, from positional or keyword arguments, and a
 slot left out from the class's `_defaults`; a class that checks or
 normalizes its arguments calls it from its own `__init__`.  Any other
 assignment or deletion raises AttributeError.  Two values are equal when
@@ -20,7 +21,9 @@ class Value:
 
     def __init_subclass__(cls):
         cls._values = attrgetter(*cls._fields)  # a plain callable, not a method
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._slots = tuple(name for klass in reversed(cls.__mro__)
+                           for name in klass.__dict__.get("__slots__", ()))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._slots)
 
     def __init__(self, *args, **kwargs):
         setters = self._setters
@@ -31,7 +34,7 @@ class Value:
 
     def _bind(self, args, kwargs):
         """The slot values of a call that is not one positional value per slot."""
-        cls, slots = type(self).__qualname__, self.__slots__
+        cls, slots = type(self).__qualname__, self._slots
         if len(args) > len(slots):
             raise TypeError(f"{cls}() takes {len(slots)} arguments but {len(args)} were given")
         unknown = [name for name in kwargs if name not in slots]

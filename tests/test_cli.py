@@ -403,6 +403,17 @@ def test_a_failure_inside_one_input_names_that_input(capsys, monkeypatch, error,
     assert run(capsys, "invariants", second) == (1, "", f"torika: {second}: {line}\n")
 
 
+def test_a_bug_while_loading_names_the_file(capsys, monkeypatch):
+    def broken(fan):
+        raise KeyError("x")
+
+    monkeypatch.setattr("torika.datum.validate_fan", broken)
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, "report", "fixtures/p2.json", "fixtures/a2.json")
+    assert (code, out) == (1, "")
+    assert err == "torika: fixtures/p2.json: internal error: KeyError: 'x'\n"
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_FIELDS))
 def test_malformed_group_and_action_fields_are_one_located_line(capsys, tmp_path, name):
     fields, message = MALFORMED_FIELDS[name]

@@ -59,6 +59,23 @@ def test_face_materialization():
     assert len(P2.cones) == 7
 
 
+def test_face_materialization_adopts_each_face(monkeypatch):
+    """from_max_cones normalizes each maximal cone once and builds no face
+    through Cone.__init__; the fan equals the public constructor's."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    max_cones = [(2, 0, True, 0), [np.int64(3), 0, 1]]
+
+    def refuse(self, rays=()):
+        raise AssertionError(f"face {rays} went through Cone.__init__")
+    monkeypatch.setattr(Cone, "__init__", refuse)
+    fan = GFan.from_max_cones(3, rays, max_cones)
+    monkeypatch.undo()
+    faces = [(), (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+             (0, 1, 2), (0, 1, 3)]
+    assert fan == GFan(3, rays, faces, fan.action)
+    assert all(type(i) is int for c in fan.cones for i in c.rays)
+
+
 def test_zero_ray_and_nonprimitive():
     fan = GFan.from_max_cones(2, [(0, 0), (2, 4)], [(0,), (1,)])
     report = validate_fan(fan)
@@ -826,3 +843,63 @@ def test_coxeter_fans_test_one_pair_per_orbit(monkeypatch, build, rays, chambers
                         lambda *pair: calls.append(pair) or _meet_in_common_face(*pair))
     assert validate_fan(fan).ok and is_smooth(fan)
     assert len(calls) <= orbits
+
+
+def visited_pairs(monkeypatch):
+    """The pairs the one pair loop of validate_fan enumerates, as it runs."""
+    from torika import fans as fans_module
+
+    visited, orbit_pairs = [], fans_module._orbit_pairs
+    monkeypatch.setattr(fans_module, "_orbit_pairs", lambda *args: (
+        visited.append(pair) or pair for pair in orbit_pairs(*args)))
+    return visited
+
+
+@pytest.mark.parametrize("build, before, most", [
+    (coxeter_b3_fan, 1128, 47), (permutohedral_a3_fan, 276, 23)])
+def test_coxeter_fans_enumerate_one_chamber_against_the_rest(monkeypatch, build, before, most):
+    fan = build()
+    chambers = len(fan.maximal_cones())
+    assert chambers * (chambers - 1) // 2 == before  # the pairs of combinations(good, 2)
+    visited = visited_pairs(monkeypatch)
+    assert validate_fan(fan).ok
+    assert 0 < len(visited) <= most == chambers - 1
+
+
+def test_pure_divisorial_fans_enumerate_no_pair(monkeypatch):
+    """16 rays +-u e_i of Z^8 under the antipodal C2: two rays are never visited."""
+    rng = random.Random(3131)
+    u = rand_unimodular(rng, 8)
+    rays = [u.apply(tuple(s if k == i else 0 for k in range(8)))
+            for i in range(8) for s in (1, -1)]
+    minus = IntMatrix([[-x for x in row] for row in IntMatrix.identity(8).to_rows()])
+    action = GLattice(cyclic_group(2), 8, (IntMatrix.identity(8), minus))
+    fan = GFan.from_max_cones(8, rays, [(i,) for i in range(16)], action)
+    assert len(fan.rays) == 16 and is_pure_divisorial(fan)
+    assert fan.ray_orbits()[0][0] == (0, 1)  # the action moves rays
+    visited = visited_pairs(monkeypatch)
+    assert validate_fan(fan).ok and visited == []
+
+
+def test_bad_pairs_under_a_clean_action_are_listed_in_combinations_order(monkeypatch):
+    """Only a bad representative's orbit is expanded, and its pairs fall
+    into their combinations places among the all-pairs oracle's problems,
+    which also lists the faces' pairs."""
+    from torika import fans as fans_module
+
+    rng = random.Random(2727)
+    fans = [with_cone_orbit(rng, permutohedral_a3_fan()) for _ in range(2)]
+    verdicts = []
+    monkeypatch.setattr(fans_module, "_meet_in_common_face",
+                        lambda *pair: verdicts.append(_meet_in_common_face(*pair))
+                        or verdicts[-1])
+    for fan in fans:
+        assert not _action_problems(fan)
+        verdicts.clear()
+        problems = validate_fan(fan).problems
+        maximal = {f"cones {a.rays} and {b.rays} do not intersect in their common face"
+                   for a, b in combinations(fan.maximal_cones(), 2)}
+        assert problems == tuple(p for p in all_pairs_problems(fan)
+                                 if "do not intersect" not in p or p in maximal)
+        bad = [p for p in problems if "do not intersect" in p]
+        assert 0 < verdicts.count(False) < len(bad)

@@ -270,3 +270,15 @@ def test_a_subclass_keeps_the_initializer():
 
     assert Named([1, 2]).generator == (1, 2)
     assert Outcome(True, (), unexpected=(3,)).unexpected == (3,)
+
+
+def test_a_subclass_with_slots_of_its_own_takes_every_slot():
+    class Extra(Ray):
+        __slots__ = ("extra",)
+
+    assert Extra._slots == ("generator", "extra")
+    with pytest.raises(TypeError, match="extra"):
+        Extra((1, 2))
+    value = Extra.__new__(Extra)
+    Value.__init__(value, (1, 2), "more")
+    assert (value.generator, value.extra) == ((1, 2), "more")

@@ -17,7 +17,11 @@ next to the metrics.
 and quartiles (`statistics.quantiles(n=4, method='inclusive')`), the
 parent's interquartile range, the change's relative difference and the
 number of pairs the change wins, with the direction ("better") read from
-BENCHMARK.json; and each side's pass counts in pair order.  Only the
+BENCHMARK.json; and each side's pass counts in pair order.  For
+`peak_rss_mb` it also prints the least-squares slope on the pass count,
+fitted within each side (one intercept per side, one slope), and the
+change's relative difference in mean at the parent's mean pass count:
+RSS growth from extra passes is then told apart from the change.  Only the
 pairs in which both runs have a result are summarised, and only when
 there are two or more; the pairs of the failed runs are listed per side.
 """
@@ -101,10 +105,31 @@ def summary(out):
                 "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
                 "pairs": len(pairs)}
         counts = {side: [p[side]["passes"] for p in pairs] for side in ("parent", "change")}
+        rss = {side: [p[side]["line"]["metrics"]["peak_rss_mb"]["value"] for p in pairs]
+               for side in ("parent", "change")}
+        table["peak_rss_mb"].update(_rss_on_passes(counts, rss))
         table["passes"] = dict(counts, parent_median=statistics.median(counts["parent"]),
                                change_median=statistics.median(counts["change"]))
         result[workload] = table
     print(json.dumps(result, indent=1))
+
+
+def _rss_on_passes(counts, rss):
+    """The within-side least-squares slope of RSS on the pass count, and the
+    change's mean RSS moved to the parent's mean pass count, against the
+    parent's mean; None where no side's pass count varies."""
+    mean = {side: (statistics.fmean(counts[side]), statistics.fmean(rss[side]))
+            for side in counts}
+    sxx = sxy = 0.0
+    for side, (mx, my) in mean.items():
+        sxx += sum((x - mx) ** 2 for x in counts[side])
+        sxy += sum((x - mx) * (y - my) for x, y in zip(counts[side], rss[side]))
+    if not sxx:
+        return {"slope_mb_per_pass": None, "change_vs_parent_at_parent_passes": None}
+    slope = sxy / sxx
+    (px, py), (cx, cy) = mean["parent"], mean["change"]
+    return {"slope_mb_per_pass": slope,
+            "change_vs_parent_at_parent_passes": (cy - slope * (cx - px)) / py - 1}
 
 
 if __name__ == "__main__":
