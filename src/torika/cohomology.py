@@ -41,7 +41,6 @@ from .linalg import (
     _diag,
     _kernel_array,
     _matmul,
-    _nonredundant_rows,
     _smith,
 )
 from .value import Value
@@ -300,8 +299,7 @@ def _shifted_basis(d1, cols, n):
     lies in Z^1 + n L^S exactly when each y[i] is divisible by
     lifts[i] * orders[i]: H^2 = sum Z/orders[i].
     """
-    # d^1 repeats rows; they change the Smith transforms, not the groups
-    d, _, v, w = _smith(_nonredundant_rows(d1), cols=cols)
+    d, _, v, w = _smith(d1, cols=cols)
     diag = d + [0] * (cols - len(d))
     lifts = [n // gcd(n, x) if x else 1 for x in diag]
     orders = tuple(gcd(n, x) if x else 1 for x in diag)

@@ -138,26 +138,25 @@ def build_action(group, rank, spec) -> GLattice:
         unknown = sorted(set(spec) - {"generators"})
         _require(not unknown, f"field 'action': unknown keys {unknown}")
         given = _complete_generator_action(group, rank, spec["generators"])
-        mats = [given.get(g) for g in group.elements()]
-        try:  # built and proved on one walk: |G||S'| products
-            _walk_action(group, mats, [g for g in given if g != group.identity])
-            return GLattice._adopt(group, rank, mats)
-        except ValueError as exc:
-            failure, named, what = exc, given.items(), "the matrix for element"
+        gens, what = [g for g in given if g != group.identity], "the matrix for element"
     else:
         _require(isinstance(spec, list) and len(spec) == group.order,
                  f"field 'action' must list one matrix per element "
                  f"({group.order} expected)")
-        matrices = tuple(_parse_matrix(m, rank, f"field 'action' element {g}")
-                         for g, m in enumerate(spec))
-        try:
-            return GLattice(group, rank, matrices)
-        except ValueError as exc:
-            failure, named, what = exc, enumerate(matrices), "action of element"
-    # a failed proof: unimodularity is checked only to name the first matrix that fails it
-    bad = next((g for g, m in named if not _is_unimodular(m)), None)
-    _require(bad is None, f"field 'action': {what} {bad} is not unimodular")
-    raise DatumError(f"field 'action': {failure}") from None
+        given = {g: _parse_matrix(m, rank, f"field 'action' element {g}")
+                 for g, m in enumerate(spec)}
+        gens, what = group.generating_set, "action of element"
+    mats = [given.get(g) for g in group.elements()]
+    try:  # built and proved on one walk: |G||S| products
+        if mats[group.identity] != IntMatrix.identity(rank):
+            raise ValueError("identity element must act as the identity matrix")
+        _walk_action(group, mats, gens)
+        return GLattice._adopt(group, rank, mats)
+    except ValueError as exc:
+        # unimodularity is checked only to name the first matrix that fails it
+        bad = next((g for g, m in given.items() if not _is_unimodular(m)), None)
+        _require(bad is None, f"field 'action': {what} {bad} is not unimodular")
+        raise DatumError(f"field 'action': {exc}") from None
 
 
 def _build_datum(doc, *, normalize_rays=False, limits=None) -> ToricDatum:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from functools import wraps
 from itertools import combinations, product
+from math import gcd
 from operator import index, mul
 
 from .cohomology import GLattice, trivial_lattice
 from .errors import FanValidationError, NotInFanError
 from .groups import FiniteGroup, Subgroup, trivial_group
-from .linalg import _content, _eye, _kernel_array, _matmul, _smith, _transpose
+from .linalg import _eye, _kernel_array, _matmul, _smith, _transpose
 from .value import Value
 
 
@@ -369,8 +370,7 @@ def _bad_pairs(fan: GFan, good, clean):
     if all(len(c) == 1 for c in good):
         return []
     group, perms = fan.group, fan.ray_permutations()
-    gens, elements = ((group.generating_set, group.elements()) if clean
-                      else ((), (group.identity,)))
+    elements = group.elements() if clean else (group.identity,)
     where = {c.rays: k for k, c in enumerate(good)}
 
     def image(g, k):
@@ -379,13 +379,10 @@ def _bad_pairs(fan: GFan, good, clean):
     first, carry = {}, {}
     for k in range(len(good)):
         if k not in first:
-            first[k], carry[k], orbit = k, group.identity, [k]
-            for x in orbit:
-                for h in gens:
-                    y = image(h, x)
-                    if y not in first:
-                        first[y], carry[y] = k, group.table[h][carry[x]]
-                        orbit.append(y)
+            for g in elements:
+                y = image(g, k)
+                if y not in first:
+                    first[y], carry[y] = k, g
     bad = set()
     for s, t in _orbit_pairs(good, first):
         if first[t] == s and image(group.inv(carry[t]), s) < t:
@@ -434,7 +431,7 @@ def _layout_problems(fan: GFan):
         if not any(vec):
             problems.append(f"ray {i} is zero")
             continue
-        if _content(vec) != 1:
+        if gcd(*vec) != 1:
             problems.append(f"ray {i} is not primitive: {vec}")
         if vec in seen_rays:
             problems.append(f"rays {seen_rays[vec]} and {i} coincide")
@@ -542,7 +539,7 @@ def support_lattice_points(fan: GFan, bound: int):
 def primitive_vector(vec):
     """Divide an integer vector by the gcd of its entries."""
     vec = tuple(map(index, vec))
-    g = _content(vec)
+    g = gcd(*vec)
     if g <= 1:
         return vec
     return tuple(x // g for x in vec)

@@ -41,12 +41,11 @@ def brauer_kernel(fan: GFan) -> FinAbGroup:
     of one ray per orbit.  The map is the ray matrix, equivariant as the
     valid fan's rays are permuted exactly, so Z^rays is never built.
     With no rays this is all of H^2(G, M), the bare torus's Brauer group.
+    The fan is smooth: its maximal cones are primitive rays or the zero cone.
     """
     fan.require_valid()
     if not is_pure_divisorial(fan):
         raise ValueError("the Brauer kernel expects a pure divisorial fan")
-    if not is_smooth(fan):
-        raise ValueError("the Brauer kernel expects a smooth fan")
     return _shapiro_kernel(character_lattice(fan), ray_matrix(fan)._r,
                            ray_orbits(fan))
 

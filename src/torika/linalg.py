@@ -19,7 +19,7 @@ divisibility chain by a row addition and eliminating again.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import prod
 from operator import add, index, mul, neg
 
 from .value import Value
@@ -367,24 +367,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                               v=IntMatrix._adopt(v, m.cols))
 
 
-def _nonredundant_rows(a):
-    """Drop zero rows and rows equal (up to sign) to an earlier row.
-
-    Only safe when the row lattice is what matters, as in kernel and
-    Smith-form computations.
-    """
-    seen = set()
-    keep = []
-    for row in a:
-        t = tuple(row)
-        if t in seen or not any(t):
-            continue
-        seen.add(t)
-        seen.add(tuple(map(neg, t)))
-        keep.append(row)
-    return a if len(keep) == len(a) else keep
-
-
 def _kernel_array(a, cols):
     """Basis of {x : a @ x == 0}, `a` `cols` wide, as the columns of a row
     list: the rows past the rank of u in u @ a.T @ v = S, v never formed."""
@@ -464,10 +446,3 @@ def _is_unimodular(m: IntMatrix) -> bool:
     """Square, with every Smith diagonal entry 1."""
     return m.rows == m.cols and _smith(m._r)[0] == [1] * m.rows
 
-
-def _content(vector) -> int:
-    """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in vector:
-        g = gcd(g, abs(int(x)))
-    return g

@@ -414,6 +414,17 @@ def test_a_bug_while_loading_names_the_file(capsys, monkeypatch):
     assert err == "torika: fixtures/p2.json: internal error: KeyError: 'x'\n"
 
 
+def test_a_bug_outside_any_input_is_one_unlocated_line(capsys, monkeypatch):
+    # the inline lattice is read before any input is located
+    def broken(name):
+        raise KeyError("x")
+
+    monkeypatch.setattr("torika.cli.group_preset", broken)
+    code, out, err = run(capsys, "cohomology", "--splitting-group", "C2",
+                         "--lattice", '{"rank": 1}')
+    assert (code, out, err) == (1, "", "torika: internal error: KeyError: 'x'\n")
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_FIELDS))
 def test_malformed_group_and_action_fields_are_one_located_line(capsys, tmp_path, name):
     fields, message = MALFORMED_FIELDS[name]

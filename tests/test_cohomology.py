@@ -66,6 +66,8 @@ def test_glattice_validation():
         GLattice(C2, 1, (IntMatrix.identity(1),))
     with pytest.raises(ValueError, match="action of element 1 is not 1x1"):
         GLattice(C2, 1, (IntMatrix.identity(1), IntMatrix.identity(2)))
+    with pytest.raises(ValueError, match="^negative rank$"):
+        trivial_lattice(C2, -1)
 
 
 def test_dual_and_direct_sum():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from torika.cohomology import permutation_module
+from torika.cohomology import GLattice, permutation_module
 from torika.datum import (build_action, build_group, datum_from_fan, dump_datum,
                           load_datum, serialize_datum)
 from torika.errors import DatumError
@@ -19,6 +19,7 @@ from torika.linalg import IntMatrix, _coords_in_basis, _eye, _is_unimodular
 
 from conftest import (EXPLICIT_GROUPS, FIXTURE_NAMES, fixture_path, load_fixture,
                       rand_unimodular)
+from test_cohomology import _all_pairs_check, _corrupted_actions, random_lattice
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -387,6 +388,29 @@ def test_full_action_lists_take_determinants_only_to_name_a_failure(monkeypatch)
     calls.clear()  # nor do matrices given on generators
     gens = {"1": spec[1], "2": spec[2], "4": spec[4]}
     assert build_action(s3, 6, {"generators": gens}) == lattice and not calls
+
+
+def test_a_matrix_list_gets_the_verdict_of_the_all_pairs_check():
+    """The list form is proved on the walk over the group's generating set,
+    and names a failure as the all-pairs check does: the first singular
+    matrix, else the identity's, else the first failing pair."""
+    rng = random.Random(20261022)
+    for group in [group_preset(name) for name in sorted(GROUP_PRESETS)] + EXPLICIT_GROUPS:
+        for _ in range(2):
+            lattice = random_lattice(rng, group, 3)
+            for mats in _corrupted_actions(rng, lattice):
+                want = _all_pairs_check(group, lattice.rank, mats)
+                spec = [m.to_rows() for m in mats]
+                if want is None:
+                    assert build_action(group, lattice.rank, spec) == GLattice(
+                        group, lattice.rank, tuple(mats))
+                    continue
+                with pytest.raises(DatumError) as err:
+                    build_action(group, lattice.rank, spec)
+                assert str(err.value) == f"field 'action': {want}"
+    with pytest.raises(DatumError) as err:
+        build_action(group_preset("C2"), 1, [[[-1]], [[-1]]])
+    assert str(err.value) == "field 'action': identity element must act as the identity matrix"
 
 
 def test_normalize_rays():

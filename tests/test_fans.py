@@ -162,6 +162,9 @@ def test_action_cone_image_missing():
 def test_report_collects_everything():
     fan = GFan.from_max_cones(2, [(0, 0), (2, 0), (1, 1)], [(0,), (1,), (2,)])
     assert len(validate_fan(fan).problems) >= 2
+    assert not validate_fan(fan)
+    assert str(validate_fan(fan)) == "ray 0 is zero\nray 1 is not primitive: (2, 0)"
+    assert validate_fan(A2) and str(validate_fan(A2)) == "valid"
 
 
 def test_require_valid_raises():
@@ -700,6 +703,7 @@ def test_rays_and_cones_keep_bool_and_numpy_integers_as_python_ints():
     assert ray == Ray((2, 1, -1)) and all(type(x) is int for x in ray.generator)
     cone = Cone((np.int64(2), True, 1))
     assert cone.rays == (1, 2) and all(type(i) is int for i in cone.rays)
+    assert tuple(Cone((2, 0))) == (0, 2)
 
 
 @pytest.mark.parametrize("bad", [1.5, "3", Fraction(3)])

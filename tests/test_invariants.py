@@ -11,7 +11,7 @@ from torika.cohomology import (GLattice, cohomology, kernel_of_h2_map,
                                kernel_of_h2_map_via_presentations,
                                trivial_lattice)
 from torika.errors import ResourceLimitError, StageError
-from torika.fans import Cone, GFan, validate_fan
+from torika.fans import Cone, GFan, is_smooth, validate_fan
 from torika.groups import cyclic_group, trivial_group
 from torika.invariants import brauer_kernel, class_group, full_report
 from torika.linalg import FinAbGroup, IntMatrix
@@ -111,6 +111,15 @@ def test_brauer_kernel_guards():
     a2 = load_fixture("a2").fan
     with pytest.raises(ValueError):
         brauer_kernel(a2)
+
+
+def test_a_pure_divisorial_truncation_is_smooth():
+    """So brauer_kernel needs no smoothness guard: the truncation's maximal
+    cones are primitive rays or the zero cone, even of a singular fan."""
+    sing = GFan.from_max_cones(2, [(1, 0), (1, 2)], [(0, 1)])
+    assert not is_smooth(sing)
+    for fan in [load_fixture(name).fan for name in FIXTURE_NAMES] + [sing]:
+        assert is_smooth(pure_divisorial_truncation(fan))
 
 
 def test_brauer_order_divides_h2():

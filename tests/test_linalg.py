@@ -22,7 +22,7 @@ from torika.groups import cyclic_group
 from torika.linalg import (FinAbGroup, IntMatrix, cokernel, kernel_basis,
                            smith_normal_form, solve_integer)
 from torika.linalg import (_coords_in_basis, _eye, _is_unimodular,
-                           _kernel_array, _nonredundant_rows, _smith)
+                           _kernel_array, _smith)
 
 from conftest import rand_unimodular
 from linalg_oracles import (_xgcd, array_matmul, as_array, bareiss_det,
@@ -180,7 +180,7 @@ def _smith_cases():
     lattice = permutation_module(cyclic_group(12), cyclic_group(12).trivial_subgroup())
     d1 = _cayley_complex(lattice)[2]
     assert len(d1) == 12
-    for rows in (d1, _nonredundant_rows(d1)):
+    for rows in (d1, d1[:1]):
         cases.append((as_array(rows, 12), _random_entries(rng, len(rows), 2, 5)))
     assert any(abs(x) > 2 ** 63 for a, _ in cases for x in a.ravel())
     return cases
@@ -296,6 +296,7 @@ def test_solve_integer():
     assert solve_integer(m, (1, 1)) is None
     assert solve_integer(IntMatrix.zeros(2, 0), (0, 0)) == ()
     assert solve_integer(IntMatrix.zeros(2, 0), (1, 0)) is None
+    assert solve_integer(IntMatrix.zeros(0, 2), []) == (0, 0)  # no equations
     with pytest.raises(ValueError, match=r"right-hand side of length 3 against \(2, 2\)"):
         solve_integer(m, (1, 2, 3))
     with pytest.raises(ValueError, match=r"vector of length 3 against \(2, 2\)"):
@@ -307,6 +308,7 @@ def test_finabgroup_canonical():
     assert str(FinAbGroup.free(1)) == "Z"
     assert str(FinAbGroup(2, (2, 6))) == "Z^2 x Z/2 x Z/6"
     assert FinAbGroup(0, (2,)).order() == 2
+    assert FinAbGroup(1).order() is None
     assert FinAbGroup(1, ()).is_finite is False
     with pytest.raises(ValueError):
         FinAbGroup(0, (3, 2))
@@ -631,6 +633,10 @@ def test_intmatrix_checks_and_zero_shapes():
         IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
     with pytest.raises(ValueError, match="shape mismatch in addition"):
         IntMatrix([[1, 2]]) - IntMatrix([[1], [2]])
+    for scalar_op in (lambda m: m @ 3, lambda m: m + 3, lambda m: m - 3):
+        with pytest.raises(TypeError):
+            scalar_op(IntMatrix([[1]]))
+    assert IntMatrix.from_array([[1, 2]]) == IntMatrix([[1, 2]])  # a row list
     assert IntMatrix.zeros(2, 0) @ IntMatrix.zeros(0, 3) == IntMatrix.zeros(2, 3)
     assert IntMatrix.zeros(0, 2) @ IntMatrix.zeros(2, 3) == IntMatrix.zeros(0, 3)
     assert IntMatrix.zeros(2, 0).apply(()) == (0, 0)

@@ -3,15 +3,15 @@
     python3 tools/bench_pairs.py run PARENT CHANGE OUT.jsonl WORKLOAD:PAIRS ...
     python3 tools/bench_pairs.py summary OUT.jsonl
 
-`run` runs `python3 bench/run.py --workload W --seed S --seconds 35 --trace 0`
-in the two checkouts PARENT and CHANGE.  WORKLOAD:N runs pairs 0..N-1 and
-WORKLOAD:A-B pairs A..B-1; pair p uses seed p + 1, and even pairs run the
-parent first, odd pairs the change.  Each run appends one JSON line to
-OUT.jsonl: its side, seed, pair, exit status, pass (or round) count and
-the benchmark's last stdout line, or null when that line is not JSON (a
-failed run).  The benchmark keeps every pass's answers, so
-`peak_rss_mb` grows with the pass count, which is why the count is kept
-next to the metrics.
+`run` runs `bench/run.py --workload W --seed S --seconds 35 --trace 0`
+under this tool's own interpreter in the two checkouts PARENT and CHANGE.
+WORKLOAD:N runs pairs 0..N-1 and WORKLOAD:A-B pairs A..B-1; pair p uses
+seed p + 1, and even pairs run the parent first, odd pairs the change.
+Each run appends one JSON line to OUT.jsonl: its side, seed, pair, exit
+status, pass (or round) count and the benchmark's last stdout line, or
+null when that line is not JSON (a failed run).  The benchmark keeps
+every pass's answers, so `peak_rss_mb` grows with the pass count, which
+is why the count is kept next to the metrics.
 
 `summary` prints, per workload and end-to-end metric, each side's median
 and quartiles (`statistics.quantiles(n=4, method='inclusive')`), the
@@ -46,7 +46,7 @@ def run(parent, change, out, specs):
                 for side, root in (sides if pair % 2 == 0 else sides[::-1]):
                     seed = pair + 1
                     proc = subprocess.run(
-                        ["python3", "bench/run.py", "--workload", workload,
+                        [sys.executable, "bench/run.py", "--workload", workload,
                          "--seed", str(seed), "--seconds", "35", "--trace", "0"],
                         cwd=root, capture_output=True, text=True)
                     lines = proc.stdout.strip().splitlines()
